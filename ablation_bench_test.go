@@ -28,24 +28,13 @@ func BenchmarkAblationCascadeVsOneRound(b *testing.B) {
 	g := bld.Graph()
 
 	b.Run("cascade-two-rounds", func(b *testing.B) {
-		var total int64
-		for i := 0; i < b.N; i++ {
-			res := TwoRoundTriangles(g)
-			total = res.TotalComm()
-		}
+		total := benchQuery(b, g, Triangle(), WithStrategy(StrategyTwoRound)).TotalComm()
 		b.ReportMetric(float64(total)/float64(g.NumEdges()), "comm/edge")
 		b.ReportMetric(float64(WedgeCount(g)), "wedges")
 	})
 	b.Run("one-round-bucketordered", func(b *testing.B) {
-		var total int64
-		for i := 0; i < b.N; i++ {
-			res, err := TriangleBucketOrdered(g, 10, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = res.Metrics.KeyValuePairs
-		}
-		b.ReportMetric(float64(total)/float64(g.NumEdges()), "comm/edge")
+		m := benchTriangles(b, g, StrategyTriangleBucketOrdered, 10)
+		b.ReportMetric(float64(m.KeyValuePairs)/float64(g.NumEdges()), "comm/edge")
 	})
 }
 
@@ -60,20 +49,12 @@ func BenchmarkAblationCycleCQs(b *testing.B) {
 			if useCycle {
 				name = fmt.Sprintf("C%d/run-sequence", p)
 			}
+			opts := []Option{WithStrategy(StrategyBucketOriented), WithBuckets(4), WithSeed(2)}
+			if useCycle {
+				opts = append(opts, WithCycleCQs())
+			}
 			b.Run(name, func(b *testing.B) {
-				var res *Result
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = Enumerate(g, CycleSample(p), Options{
-						Strategy:    BucketOriented,
-						Buckets:     4,
-						UseCycleCQs: useCycle,
-						Seed:        2,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
+				res := benchQuery(b, g, CycleSample(p), opts...)
 				b.ReportMetric(float64(res.NumCQs), "CQs")
 				b.ReportMetric(float64(res.TotalReducerWork()), "reducer_work")
 				b.ReportMetric(float64(len(res.Instances)), "instances")
@@ -133,15 +114,7 @@ func BenchmarkAblationShareRounding(b *testing.B) {
 	g := Gnm(300, 1200, 5)
 	for _, k := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("lollipop-k=%d", k), func(b *testing.B) {
-			var res *Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = Enumerate(g, Lollipop(), Options{
-					Strategy: VariableOriented, TargetReducers: k, Seed: 3})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			res := benchQuery(b, g, Lollipop(), WithStrategy(StrategyVariableOriented), WithTargetReducers(k), WithSeed(3))
 			job := res.Jobs[0]
 			b.ReportMetric(job.PredictedCommPerEdge, "integer_cost")
 			b.ReportMetric(job.OptimalCommPerEdge, "fractional_cost")
@@ -160,12 +133,7 @@ func BenchmarkAblationEnginePartitioning(b *testing.B) {
 			name = "workers=max"
 		}
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Enumerate(g, Triangle(), Options{
-					Buckets: 8, Parallelism: par, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchQuery(b, g, Triangle(), WithStrategy(StrategyBucketOriented), WithBuckets(8), WithParallelism(par), WithSeed(1))
 		})
 	}
 }

@@ -88,50 +88,30 @@ func probeLadder(b0 int, repl func(int) float64) []int {
 	return ladder
 }
 
+// prober carries one Plan's probing state: the query, the engine config
+// the map-only passes run under, and the probe table built so far.
+type prober struct {
+	q    *planQuery
+	p    int
+	k    int64
+	cfg  mapreduce.Config
+	rows []LoadProbe
+	// bucket is the candidate whose Section 4.5 ladder ran first and
+	// bucketRow its applied row: bucket-oriented and decomposed ship edges
+	// through the identical mapper, so the other inherits the result
+	// without another map pass.
+	bucket    *Candidate
+	bucketRow LoadProbe
+}
+
 // probeCandidates measures every viable candidate's reducer loads and
 // folds the observations back in: Observed*/AdjustedCost are set, and
 // bucket-style candidates may move to a raised b when the probes show a
 // raised configuration wins the adjusted ranking. Candidates are mutated
 // in place; the returned rows are the full probe table in planner order.
-func probeCandidates(g *Graph, s *Sample, qs []*CQ, cands []Candidate, o planOpts) []LoadProbe {
-	p := s.P()
-	k := int64(o.targetReducers)
-	cfg := o.engineConfig()
-	var probes []LoadProbe
-
-	row := func(st PlanStrategy, buckets int, sh []int, ls mapreduce.LoadStats) LoadProbe {
-		return LoadProbe{
-			Strategy:     st,
-			Buckets:      buckets,
-			Shares:       sh,
-			Comm:         ls.Pairs,
-			Keys:         ls.Keys,
-			MaxLoad:      ls.MaxLoad,
-			MeanLoad:     ls.MeanLoad(),
-			Skew:         ls.Skew(),
-			AdjustedCost: adjustedCost(ls.Pairs, ls.MaxLoad, k),
-		}
-	}
-	// observe folds an applied probe row into its candidate: the estimates
-	// become the observed values (EstComm is now exact) while CommPerEdge
-	// stays the closed form of the applied configuration, matching what the
-	// executed job will report as its prediction.
-	observe := func(c *Candidate, pr LoadProbe) {
-		c.ObservedComm = pr.Comm
-		c.ObservedMaxLoad = pr.MaxLoad
-		c.ObservedMeanLoad = pr.MeanLoad
-		c.ObservedSkew = pr.Skew
-		c.AdjustedCost = pr.AdjustedCost
-		c.Probed = true
-		c.EstComm = pr.Comm
-		c.EstShuffleBytes = pr.Comm * planPairOverhead
-	}
-
-	// The bucket-oriented and decomposed candidates ship edges through the
-	// identical mapper, so one ladder serves both; remember the result (by
-	// value — probes' backing array moves as rows are appended).
-	var bucketProbe LoadProbe
-	bucketIdx := -1
+func probeCandidates(q *planQuery, cands []Candidate) []LoadProbe {
+	o := q.o
+	pr := &prober{q: q, p: q.s.P(), k: int64(o.targetReducers), cfg: o.engineConfig()}
 
 	// With a forced strategy only that candidate's probe can change the
 	// plan, so the others' map passes would be pure waste — except the
@@ -142,40 +122,6 @@ func probeCandidates(g *Graph, s *Sample, qs []*CQ, cands []Candidate, o planOpt
 			return true
 		}
 		return o.strategy == StrategyTwoRound && st == StrategyTriangleBucketOrdered
-	}
-
-	// probeCoreBucketLadder probes a core bucket-style candidate along its
-	// b/2b/4b ladder (an explicit WithBuckets pins b) and folds the winning
-	// rung in — shared by bucket-oriented and, when it cannot inherit, the
-	// decomposed conversion.
-	probeCoreBucketLadder := func(c *Candidate) (LoadProbe, bool) {
-		ladder := []int{c.Buckets}
-		if o.buckets == 0 {
-			ladder = probeLadder(c.Buckets, func(b int) float64 { return shares.BucketEdgeReplication(b, p) })
-		}
-		best := -1
-		for _, b := range ladder {
-			ls, err := core.ProbeBucketLoads(g, p, b, o.seed, cfg)
-			if err != nil {
-				continue
-			}
-			pr := row(c.Strategy, b, uniformIntShares(p, b), ls)
-			probes = append(probes, pr)
-			if best < 0 || pr.AdjustedCost < probes[best].AdjustedCost {
-				best = len(probes) - 1
-			}
-		}
-		if best < 0 {
-			return LoadProbe{}, false
-		}
-		probes[best].Applied = true
-		pr := probes[best]
-		c.Buckets = pr.Buckets
-		c.Shares = uniformIntShares(p, pr.Buckets)
-		c.CommPerEdge = shares.BucketEdgeReplication(pr.Buckets, p)
-		c.Reducers = int64(shares.UsefulReducers(pr.Buckets, p))
-		observe(c, pr)
-		return pr, true
 	}
 
 	// Probe cheapest-first and prune candidates that cannot win: a probed
@@ -198,118 +144,160 @@ func probeCandidates(g *Graph, s *Sample, qs []*CQ, cands []Candidate, o planOpt
 		if o.strategy == StrategyAuto && c.EstComm > bestAdjusted {
 			continue
 		}
-		switch c.Strategy {
-		case StrategyBucketOriented:
-			if pr, ok := probeCoreBucketLadder(c); ok {
-				bucketProbe, bucketIdx = pr, i
-			}
-
-		case StrategyDecomposed:
-			if bucketIdx >= 0 {
-				// Same mapper, same loads: inherit the bucket ladder's
-				// winning configuration without another map pass.
-				bc := cands[bucketIdx]
-				c.Buckets, c.Shares = bc.Buckets, uniformIntShares(p, bc.Buckets)
-				c.CommPerEdge, c.Reducers = bc.CommPerEdge, bc.Reducers
-				observe(c, bucketProbe)
-			} else {
-				probeCoreBucketLadder(c)
-			}
-
-		case StrategyVariableOriented:
-			ls, err := core.ProbeVariableLoads(g, p, qs, c.Shares, o.seed, cfg)
-			if err != nil {
-				continue
-			}
-			pr := row(c.Strategy, 0, c.Shares, ls)
-			pr.Applied = true
-			probes = append(probes, pr)
-			observe(c, pr)
-
-		case StrategyCQOriented:
-			var merged mapreduce.LoadStats
-			probed := true
-			for j, q := range qs {
-				if j >= len(c.JobShares) {
-					break
-				}
-				ls, err := core.ProbeCQLoads(g, q, c.JobShares[j], o.seed, cfg)
-				if err != nil {
-					probed = false
-					break
-				}
-				merged = merged.Merge(ls)
-			}
-			if !probed {
-				continue
-			}
-			pr := row(c.Strategy, 0, nil, merged)
-			pr.Applied = true
-			probes = append(probes, pr)
-			observe(c, pr)
-
-		case StrategyTriangleBucketOrdered, StrategyTrianglePartition, StrategyTriangleMultiway:
-			algo, commFn, reducersFn := triangleForms(c.Strategy)
-			ladder := []int{c.Buckets}
-			if o.buckets == 0 && c.Strategy == StrategyTriangleBucketOrdered {
-				// Only the linear-communication Section 2.3 algorithm gets a
-				// ladder; raising b for Partition/Multiway grows shipping
-				// superlinearly for the same straggler relief.
-				ladder = probeLadder(c.Buckets, commFn)
-			}
-			best := -1
-			for _, b := range ladder {
-				ls, err := triangle.ProbeLoads(g, algo, b, o.seed, cfg)
-				if err != nil {
-					continue
-				}
-				pr := row(c.Strategy, b, uniformIntShares(3, b), ls)
-				probes = append(probes, pr)
-				if best < 0 || pr.AdjustedCost < probes[best].AdjustedCost {
-					best = len(probes) - 1
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			probes[best].Applied = true
-			pr := probes[best]
-			c.Buckets = pr.Buckets
-			c.Shares = uniformIntShares(3, pr.Buckets)
-			c.CommPerEdge = commFn(pr.Buckets)
-			c.Reducers = reducersFn(pr.Buckets)
-			observe(c, pr)
-
-		case StrategyTwoRound:
-			// Round 1's loads are the degree distribution — computed in
-			// O(n + m) without a map pass. Comm keeps the exact two-round
-			// total (3m + W); the straggler is round 1's hottest node (round
-			// 2's loads are unknowable before the wedges exist, which is
-			// what mid-query re-planning is for).
-			r1 := tworound.Round1LoadStats(g)
-			pr := row(c.Strategy, 0, nil, r1)
-			pr.Comm = c.EstComm // the exact 3m + W total, not just round 1's pairs
-			pr.AdjustedCost = adjustedCost(pr.Comm, r1.MaxLoad, k)
-			pr.Applied = true
-			probes = append(probes, pr)
-			observe(c, pr)
-		}
+		d := lookup(c.Strategy)
+		d.probe(d, pr, c)
 		if c.Probed && c.AdjustedCost < bestAdjusted {
 			bestAdjusted = c.AdjustedCost
 		}
 	}
-	return probes
+	return pr.rows
 }
 
-// triangleForms returns the probe name and closed forms of a Section 2
-// triangle strategy.
-func triangleForms(st PlanStrategy) (algo string, comm func(int) float64, reducers func(int) int64) {
-	switch st {
-	case StrategyTrianglePartition:
-		return "partition", triangle.PartitionCommPerEdge, triangle.PartitionReducers
-	case StrategyTriangleMultiway:
-		return "multiway", triangle.MultiwayCommPerEdge, triangle.MultiwayReducers
-	default:
-		return "bucket", triangle.BucketOrderedCommPerEdge, triangle.BucketOrderedReducers
+func (pr *prober) row(st PlanStrategy, buckets int, sh []int, ls mapreduce.LoadStats) LoadProbe {
+	return LoadProbe{
+		Strategy:     st,
+		Buckets:      buckets,
+		Shares:       sh,
+		Comm:         ls.Pairs,
+		Keys:         ls.Keys,
+		MaxLoad:      ls.MaxLoad,
+		MeanLoad:     ls.MeanLoad(),
+		Skew:         ls.Skew(),
+		AdjustedCost: adjustedCost(ls.Pairs, ls.MaxLoad, pr.k),
 	}
+}
+
+// apply appends a single-configuration candidate's row, marked applied,
+// and folds it into the candidate.
+func (pr *prober) apply(c *Candidate, row LoadProbe) {
+	row.Applied = true
+	pr.rows = append(pr.rows, row)
+	c.observe(row)
+}
+
+// ladder probes a bucket-style strategy at each bucket count of rungs
+// (p-variable uniform shares), appends one row per rung, and marks and
+// returns the rung with the lowest adjusted cost; ok is false when no
+// rung could be probed.
+func (pr *prober) ladder(st PlanStrategy, p int, rungs []int, load func(b int) (mapreduce.LoadStats, error)) (best LoadProbe, ok bool) {
+	bi := -1
+	for _, b := range rungs {
+		ls, err := load(b)
+		if err != nil {
+			continue
+		}
+		pr.rows = append(pr.rows, pr.row(st, b, uniformIntShares(p, b), ls))
+		if bi < 0 || pr.rows[len(pr.rows)-1].AdjustedCost < pr.rows[bi].AdjustedCost {
+			bi = len(pr.rows) - 1
+		}
+	}
+	if bi < 0 {
+		return LoadProbe{}, false
+	}
+	pr.rows[bi].Applied = true
+	return pr.rows[bi], true
+}
+
+// observe folds an applied probe row into its candidate: the estimates
+// become the observed values (EstComm is now exact) while CommPerEdge
+// stays the closed form of the applied configuration, matching what the
+// executed job will report as its prediction.
+func (c *Candidate) observe(pr LoadProbe) {
+	c.ObservedComm = pr.Comm
+	c.ObservedMaxLoad = pr.MaxLoad
+	c.ObservedMeanLoad = pr.MeanLoad
+	c.ObservedSkew = pr.Skew
+	c.AdjustedCost = pr.AdjustedCost
+	c.Probed = true
+	c.EstComm = pr.Comm
+	c.EstShuffleBytes = pr.Comm * planPairOverhead
+}
+
+// probeCoreBuckets probes a core bucket-style candidate (bucket-oriented
+// or decomposed) along its b/2b/4b ladder — an explicit WithBuckets pins b
+// — and folds the winning rung in, or inherits the other's ladder.
+func probeCoreBuckets(_ *strategyDef, pr *prober, c *Candidate) {
+	p := pr.p
+	if bc := pr.bucket; bc != nil {
+		c.Buckets, c.Shares = bc.Buckets, uniformIntShares(p, bc.Buckets)
+		c.CommPerEdge, c.Reducers = bc.CommPerEdge, bc.Reducers
+		c.observe(pr.bucketRow)
+		return
+	}
+	rungs := []int{c.Buckets}
+	if pr.q.o.buckets == 0 {
+		rungs = probeLadder(c.Buckets, func(b int) float64 { return shares.BucketEdgeReplication(b, p) })
+	}
+	row, ok := pr.ladder(c.Strategy, p, rungs, func(b int) (mapreduce.LoadStats, error) {
+		return core.ProbeBucketLoads(pr.q.g, p, b, pr.q.o.seed, pr.cfg)
+	})
+	if !ok {
+		return
+	}
+	c.Buckets = row.Buckets
+	c.Shares = uniformIntShares(p, row.Buckets)
+	c.CommPerEdge = shares.BucketEdgeReplication(row.Buckets, p)
+	c.Reducers = int64(shares.UsefulReducers(row.Buckets, p))
+	c.observe(row)
+	pr.bucket, pr.bucketRow = c, row
+}
+
+// probeVariable probes the Section 4.3 job at the candidate's shares.
+func probeVariable(_ *strategyDef, pr *prober, c *Candidate) {
+	ls, err := core.ProbeVariableLoads(pr.q.g, pr.p, pr.q.qs, c.Shares, pr.q.o.seed, pr.cfg)
+	if err != nil {
+		return
+	}
+	pr.apply(c, pr.row(c.Strategy, 0, c.Shares, ls))
+}
+
+// probeCQ probes every Section 4.1 job at its own shares and merges the
+// loads into one row.
+func probeCQ(_ *strategyDef, pr *prober, c *Candidate) {
+	var merged mapreduce.LoadStats
+	for j, q := range pr.q.qs {
+		if j >= len(c.JobShares) {
+			break
+		}
+		ls, err := core.ProbeCQLoads(pr.q.g, q, c.JobShares[j], pr.q.o.seed, pr.cfg)
+		if err != nil {
+			return
+		}
+		merged = merged.Merge(ls)
+	}
+	pr.apply(c, pr.row(c.Strategy, 0, nil, merged))
+}
+
+// probeTriangle probes a Section 2 triangle algorithm at its planned b
+// (and, for the Section 2.3 algorithm, the raised rungs of its ladder).
+func probeTriangle(d *strategyDef, pr *prober, c *Candidate) {
+	t := d.tri
+	rungs := []int{c.Buckets}
+	if pr.q.o.buckets == 0 && t.ladder {
+		rungs = probeLadder(c.Buckets, t.comm)
+	}
+	row, ok := pr.ladder(c.Strategy, 3, rungs, func(b int) (mapreduce.LoadStats, error) {
+		return triangle.ProbeLoads(pr.q.g, t.probeName, b, pr.q.o.seed, pr.cfg)
+	})
+	if !ok {
+		return
+	}
+	c.Buckets = row.Buckets
+	c.Shares = uniformIntShares(3, row.Buckets)
+	c.CommPerEdge = t.comm(row.Buckets)
+	c.Reducers = t.reducers(row.Buckets)
+	c.observe(row)
+}
+
+// probeTwoRound prices the cascade from round 1's loads, which are the
+// degree distribution — computed in O(n + m) without a map pass. Comm
+// keeps the exact two-round total (3m + W); the straggler is round 1's
+// hottest node (round 2's loads are unknowable before the wedges exist,
+// which is what mid-query re-planning is for).
+func probeTwoRound(_ *strategyDef, pr *prober, c *Candidate) {
+	r1 := tworound.Round1LoadStats(pr.q.g)
+	row := pr.row(c.Strategy, 0, nil, r1)
+	row.Comm = c.EstComm // the exact 3m + W total, not just round 1's pairs
+	row.AdjustedCost = adjustedCost(row.Comm, r1.MaxLoad, pr.k)
+	pr.apply(c, row)
 }

@@ -1,85 +1,19 @@
 package subgraphmr
 
 import (
-	"fmt"
 	"time"
 
-	"subgraphmr/internal/core"
 	"subgraphmr/internal/mapreduce"
 )
-
-// PlanStrategy names an execution strategy the planner can choose. The
-// zero value StrategyAuto lets Plan pick the strategy with the lowest
-// estimated communication cost for the given sample, data graph and
-// reducer budget.
-type PlanStrategy int
-
-const (
-	// StrategyAuto lets the planner choose (the default).
-	StrategyAuto PlanStrategy = iota
-	// StrategyBucketOriented is the Section 4.5 strategy: one hash, equal
-	// buckets per variable, reducers keyed by nondecreasing bucket
-	// multisets.
-	StrategyBucketOriented
-	// StrategyVariableOriented is the Section 4.3 strategy: one job for
-	// all CQs with optimized shares.
-	StrategyVariableOriented
-	// StrategyCQOriented is the Section 4.1 strategy: one job per merged
-	// CQ, each with its own optimal shares.
-	StrategyCQOriented
-	// StrategyDecomposed is the Theorem 6.1 conversion of the Theorem 7.2
-	// serial decomposition algorithm to one map-reduce round.
-	StrategyDecomposed
-	// StrategyTwoRound is the conventional cascade of two-way joins
-	// (triangle samples only) — the baseline the paper argues against.
-	StrategyTwoRound
-	// StrategyTrianglePartition is the Suri–Vassilvitskii Partition
-	// algorithm (Section 2.1, triangle samples only).
-	StrategyTrianglePartition
-	// StrategyTriangleMultiway is the plain multiway join (Section 2.2,
-	// triangle samples only).
-	StrategyTriangleMultiway
-	// StrategyTriangleBucketOrdered is the paper's improved triangle
-	// algorithm (Section 2.3, triangle samples only).
-	StrategyTriangleBucketOrdered
-)
-
-func (st PlanStrategy) String() string {
-	switch st {
-	case StrategyAuto:
-		return "auto"
-	case StrategyBucketOriented:
-		return "bucket-oriented"
-	case StrategyVariableOriented:
-		return "variable-oriented"
-	case StrategyCQOriented:
-		return "cq-oriented"
-	case StrategyDecomposed:
-		return "decomposed"
-	case StrategyTwoRound:
-		return "two-round-cascade"
-	case StrategyTrianglePartition:
-		return "triangle-partition"
-	case StrategyTriangleMultiway:
-		return "triangle-multiway"
-	case StrategyTriangleBucketOrdered:
-		return "triangle-bucket-ordered"
-	}
-	return fmt.Sprintf("strategy(%d)", int(st))
-}
-
-// MarshalText renders the strategy name, so plans and results are readable
-// when marshalled to JSON (cmd/sgmr -json).
-func (st PlanStrategy) MarshalText() ([]byte, error) { return []byte(st.String()), nil }
 
 // Option configures Plan. The one option set covers every execution path —
 // all strategies honor the engine knobs (parallelism, partitions, memory
 // budget, spill dir) and the planning knobs they support.
 type Option func(*planOpts)
 
-// planOpts is the unified configuration behind the functional options —
-// the single replacement for the former core.Options / directed.Options /
-// TwoRoundTrianglesConfig / raw mapreduce.Config split.
+// planOpts is the unified configuration behind the functional options:
+// Plan resolves it once, and execution hands each layer its slice of it
+// (engineConfig for the engine, QueryPlan.coreOptions for internal/core).
 type planOpts struct {
 	strategy PlanStrategy
 	// targetReducers is the resolved reducer budget k: Plan normalizes any
@@ -113,6 +47,10 @@ type planOpts struct {
 // planOpts.targetReducers and never re-derive it.
 const defaultTargetReducers = 1024
 
+// defaultSkewThreshold is the observed max/mean reducer-load ratio above
+// which adaptive execution treats a job as skewed (see WithSkewThreshold).
+const defaultSkewThreshold = 4.0
+
 func defaultPlanOpts() planOpts {
 	return planOpts{strategy: StrategyAuto, targetReducers: defaultTargetReducers}
 }
@@ -123,7 +61,7 @@ func (o planOpts) resolvedSkewThreshold() float64 {
 	if o.skewThreshold > 0 {
 		return o.skewThreshold
 	}
-	return core.DefaultSkewThreshold
+	return defaultSkewThreshold
 }
 
 // WithStrategy forces a specific strategy instead of letting the planner
@@ -143,9 +81,10 @@ func WithBuckets(b int) Option { return func(o *planOpts) { o.buckets = b } }
 // samples only; fewer CQs than the general method).
 func WithCycleCQs() Option { return func(o *planOpts) { o.cycleCQs = true } }
 
-// WithCountOnly makes Run count instances without materializing them
-// (Result.Instances stays nil; Result.Count is exact). Ignored by
-// Instances/Stream, which never materialize.
+// WithCountOnly makes Run count instances without collecting them: Run's
+// sink counts instead of appending (Result.Instances stays nil;
+// Result.Count is exact). Ignored by Instances/Stream, which never
+// collect.
 func WithCountOnly() Option { return func(o *planOpts) { o.countOnly = true } }
 
 // WithSeed seeds the bucket hashes; runs are deterministic given a seed.
@@ -196,26 +135,5 @@ func (o planOpts) engineConfig() mapreduce.Config {
 		MemoryBudget: o.memoryBudget,
 		SpillDir:     o.spillDir,
 		Dist:         o.dist,
-	}
-}
-
-// coreOptions translates the unified options into the legacy core.Options
-// for the CQ-based strategies. buckets carries the planner's resolved
-// bucket count so execution matches the plan exactly.
-func (o planOpts) coreOptions(strategy core.Strategy, buckets int) core.Options {
-	return core.Options{
-		Strategy:       strategy,
-		TargetReducers: o.targetReducers,
-		Buckets:        buckets,
-		UseCycleCQs:    o.cycleCQs,
-		CountOnly:      o.countOnly,
-		Seed:           o.seed,
-		Parallelism:    o.parallelism,
-		Partitions:     o.partitions,
-		MemoryBudget:   o.memoryBudget,
-		SpillDir:       o.spillDir,
-		AdaptiveReplan: o.adaptive,
-		SkewThreshold:  o.skewThreshold,
-		Dist:           o.dist,
 	}
 }

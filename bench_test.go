@@ -5,6 +5,7 @@
 package subgraphmr
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -17,6 +18,32 @@ import (
 // benchGraph is the shared data graph for the communication benchmarks.
 var benchGraph = Gnm(2000, 12000, 42)
 
+// benchQuery plans s in g under opts outside the timed region, then runs
+// the plan b.N times and returns the last result: the benchmarks time
+// execution only, as the pre-Plan entry points did.
+func benchQuery(b *testing.B, g *Graph, s *Sample, opts ...Option) *Result {
+	b.Helper()
+	plan, err := Plan(g, s, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var res *Result
+	for i := 0; i < b.N; i++ {
+		if res, err = Run(context.Background(), plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return res
+}
+
+// benchTriangles runs a Section 2 triangle algorithm at the given bucket
+// count and seed 7, returning its job's metrics.
+func benchTriangles(b *testing.B, g *Graph, st PlanStrategy, buckets int) mapreduce.Metrics {
+	b.Helper()
+	return benchQuery(b, g, Triangle(), WithStrategy(st), WithBuckets(buckets), WithSeed(7)).Jobs[0].Metrics
+}
+
 // BenchmarkFig1TriangleCommunication regenerates Fig. 1: the three
 // triangle algorithms at (approximately) the same reducer budget k = 220;
 // the reported comm/edge metrics should order Partition ≈ 1.5× and
@@ -26,27 +53,17 @@ func BenchmarkFig1TriangleCommunication(b *testing.B) {
 	cases := []struct {
 		name    string
 		buckets int
-		run     func(g *Graph, buckets int) (TriangleResult, error)
+		st      PlanStrategy
 	}{
-		{"Partition", triangle.BucketsForReducers(k, triangle.PartitionReducers),
-			func(g *Graph, buckets int) (TriangleResult, error) { return TrianglePartition(g, buckets, 7) }},
-		{"Multiway", triangle.BucketsForReducers(k, triangle.MultiwayReducers),
-			func(g *Graph, buckets int) (TriangleResult, error) { return TriangleMultiway(g, buckets, 7) }},
-		{"BucketOrdered", triangle.BucketsForReducers(k, triangle.BucketOrderedReducers),
-			func(g *Graph, buckets int) (TriangleResult, error) { return TriangleBucketOrdered(g, buckets, 7) }},
+		{"Partition", triangle.BucketsForReducers(k, triangle.PartitionReducers), StrategyTrianglePartition},
+		{"Multiway", triangle.BucketsForReducers(k, triangle.MultiwayReducers), StrategyTriangleMultiway},
+		{"BucketOrdered", triangle.BucketsForReducers(k, triangle.BucketOrderedReducers), StrategyTriangleBucketOrdered},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var res TriangleResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = c.run(benchGraph, c.buckets)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Metrics.KeyValuePairs)/float64(benchGraph.NumEdges()), "comm/edge")
-			b.ReportMetric(float64(res.Metrics.DistinctKeys), "reducers")
+			m := benchTriangles(b, benchGraph, c.st, c.buckets)
+			b.ReportMetric(float64(m.KeyValuePairs)/float64(benchGraph.NumEdges()), "comm/edge")
+			b.ReportMetric(float64(m.DistinctKeys), "reducers")
 			b.ReportMetric(float64(c.buckets), "buckets")
 		})
 	}
@@ -59,26 +76,16 @@ func BenchmarkFig2TriangleConcrete(b *testing.B) {
 		name    string
 		buckets int
 		paper   float64
-		run     func(g *Graph, buckets int) (TriangleResult, error)
+		st      PlanStrategy
 	}{
-		{"Partition_b12", 12, 13.75,
-			func(g *Graph, buckets int) (TriangleResult, error) { return TrianglePartition(g, buckets, 7) }},
-		{"Multiway_b6", 6, 16,
-			func(g *Graph, buckets int) (TriangleResult, error) { return TriangleMultiway(g, buckets, 7) }},
-		{"BucketOrdered_b10", 10, 10,
-			func(g *Graph, buckets int) (TriangleResult, error) { return TriangleBucketOrdered(g, buckets, 7) }},
+		{"Partition_b12", 12, 13.75, StrategyTrianglePartition},
+		{"Multiway_b6", 6, 16, StrategyTriangleMultiway},
+		{"BucketOrdered_b10", 10, 10, StrategyTriangleBucketOrdered},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var res TriangleResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = c.run(benchGraph, c.buckets)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			measured := float64(res.Metrics.KeyValuePairs) / float64(benchGraph.NumEdges())
+			m := benchTriangles(b, benchGraph, c.st, c.buckets)
+			measured := float64(m.KeyValuePairs) / float64(benchGraph.NumEdges())
 			b.ReportMetric(measured, "comm/edge")
 			b.ReportMetric(c.paper, "paper_comm/edge")
 		})
@@ -188,15 +195,8 @@ func BenchmarkConvertibility(b *testing.B) {
 	serialWork := SerialTriangles(g, func(_, _, _ Node) {})
 	for _, buckets := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("b=%d", buckets), func(b *testing.B) {
-			var res TriangleResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = TriangleBucketOrdered(g, buckets, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Metrics.ReducerWork)/float64(serialWork), "work_ratio")
+			m := benchTriangles(b, g, StrategyTriangleBucketOrdered, buckets)
+			b.ReportMetric(float64(m.ReducerWork)/float64(serialWork), "work_ratio")
 		})
 	}
 }
@@ -211,16 +211,9 @@ func BenchmarkEnumerateStrategies(b *testing.B) {
 		s    *Sample
 	}{{"square", Square()}, {"lollipop", Lollipop()}} {
 		s := tc.s
-		for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
+		for _, strat := range []PlanStrategy{StrategyBucketOriented, StrategyVariableOriented, StrategyCQOriented} {
 			b.Run(fmt.Sprintf("%s/%v", tc.name, strat), func(b *testing.B) {
-				var res *Result
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = Enumerate(g, s, Options{Strategy: strat, TargetReducers: 256, Seed: 7})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
+				res := benchQuery(b, g, s, WithStrategy(strat), WithTargetReducers(256), WithSeed(7))
 				b.ReportMetric(float64(res.TotalComm())/float64(g.NumEdges()), "comm/edge")
 				b.ReportMetric(float64(len(res.Instances)), "instances")
 			})

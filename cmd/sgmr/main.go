@@ -93,20 +93,6 @@ func main() {
 	}
 }
 
-// planStrategies maps the -strategy flag values that run through the
-// unified Plan/Run API.
-var planStrategies = map[string]subgraphmr.PlanStrategy{
-	"auto":          subgraphmr.StrategyAuto,
-	"bucket":        subgraphmr.StrategyBucketOriented,
-	"variable":      subgraphmr.StrategyVariableOriented,
-	"cq":            subgraphmr.StrategyCQOriented,
-	"mr-decompose":  subgraphmr.StrategyDecomposed,
-	"cascade":       subgraphmr.StrategyTwoRound,
-	"tri-partition": subgraphmr.StrategyTrianglePartition,
-	"tri-multiway":  subgraphmr.StrategyTriangleMultiway,
-	"tri-bucket":    subgraphmr.StrategyTriangleBucketOrdered,
-}
-
 // run executes one sgmr invocation, writing all reporting to out. It is
 // main minus the process plumbing, so tests can drive every strategy flag
 // in-process.
@@ -196,7 +182,7 @@ func run(args []string, out io.Writer) error {
 	if *distAddrs != "" {
 		distWorkers = strings.Split(*distAddrs, ",")
 	}
-	if planStrategy, ok := planStrategies[*strategy]; ok {
+	if planStrategy, err := subgraphmr.ParseStrategy(*strategy); err == nil {
 		return runPlanned(out, g, s, planStrategy, plannedOptions{
 			k: *k, buckets: *buckets, cycleCQs: *cyclesCQ, countOnly: *countOnly,
 			seed: *hashSeed, workers: *workers, partitions: *partitions,

@@ -52,14 +52,14 @@ func TestFacadeDirectedBuilder(t *testing.T) {
 
 func TestFacadeTwoRound(t *testing.T) {
 	g := Gnm(40, 170, 2)
-	res := TwoRoundTriangles(g)
-	if res.Count() != CountTriangles(g) {
-		t.Errorf("cascade count %d, serial %d", res.Count(), CountTriangles(g))
+	res := runQuery(t, g, Triangle(), WithStrategy(StrategyTwoRound))
+	if res.Count != CountTriangles(g) {
+		t.Errorf("cascade count %d, serial %d", res.Count, CountTriangles(g))
 	}
-	if res.TotalComm() != 3*int64(g.NumEdges())+res.Wedges {
+	if res.TotalComm() != 3*int64(g.NumEdges())+WedgeCount(g) {
 		t.Error("cascade communication accounting off")
 	}
-	if res.Wedges != WedgeCount(g) {
+	if len(res.Jobs) != 2 || res.Jobs[1].Metrics.KeyValuePairs != WedgeCount(g)+int64(g.NumEdges()) {
 		t.Error("wedge count mismatch")
 	}
 }

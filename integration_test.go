@@ -16,19 +16,15 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 		name string
 		run  func(g *Graph, s *Sample) ([][]Node, error)
 	}
-	mr := func(strat Strategy) func(g *Graph, s *Sample) ([][]Node, error) {
+	mr := func(st PlanStrategy) func(g *Graph, s *Sample) ([][]Node, error) {
 		return func(g *Graph, s *Sample) ([][]Node, error) {
-			res, err := Enumerate(g, s, Options{Strategy: strat, TargetReducers: 150, Seed: 9})
-			if err != nil {
-				return nil, err
-			}
-			return res.Instances, nil
+			return runQuery(t, g, s, WithStrategy(st), WithTargetReducers(150), WithSeed(9)).Instances, nil
 		}
 	}
 	paths := []path{
-		{"bucket-oriented", mr(BucketOriented)},
-		{"variable-oriented", mr(VariableOriented)},
-		{"cq-oriented", mr(CQOriented)},
+		{"bucket-oriented", mr(StrategyBucketOriented)},
+		{"variable-oriented", mr(StrategyVariableOriented)},
+		{"cq-oriented", mr(StrategyCQOriented)},
 		{"serial-decomposition", func(g *Graph, s *Sample) ([][]Node, error) {
 			out, _, err := EnumerateByDecomposition(g, s, nil)
 			return out, err
@@ -82,11 +78,11 @@ func TestIntegrationCycleCQsAgree(t *testing.T) {
 		s := CycleSample(p)
 		var counts []int
 		for _, useCycle := range []bool{false, true} {
-			res, err := Enumerate(g, s, Options{Buckets: 3, UseCycleCQs: useCycle, Seed: 2})
-			if err != nil {
-				t.Fatal(err)
+			opts := []Option{WithStrategy(StrategyBucketOriented), WithBuckets(3), WithSeed(2)}
+			if useCycle {
+				opts = append(opts, WithCycleCQs())
 			}
-			counts = append(counts, len(res.Instances))
+			counts = append(counts, len(runQuery(t, g, s, opts...).Instances))
 		}
 		if counts[0] != counts[1] {
 			t.Errorf("p=%d: general %d vs cycle CQs %d", p, counts[0], counts[1])
@@ -104,28 +100,13 @@ func TestIntegrationTriangleSixWays(t *testing.T) {
 	g := PowerLaw(300, 8, 2.2, 6)
 	want := CountTriangles(g)
 
-	p1, err := TrianglePartition(g, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := TriangleMultiway(g, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3, err := TriangleBucketOrdered(g, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := Enumerate(g, Triangle(), Options{Buckets: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p5 := TwoRoundTriangles(g)
-
-	got := []int64{p1.Count(), p2.Count(), p3.Count(), int64(len(p4.Instances)), p5.Count()}
-	for i, c := range got {
-		if c != want {
-			t.Errorf("path %d: %d triangles, want %d", i, c, want)
+	for i, st := range []PlanStrategy{
+		StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered,
+		StrategyBucketOriented, StrategyTwoRound,
+	} {
+		res := runQuery(t, g, Triangle(), WithStrategy(st), WithBuckets(5), WithSeed(3))
+		if c := int64(len(res.Instances)); c != want {
+			t.Errorf("path %d (%v): %d triangles, want %d", i, st, c, want)
 		}
 	}
 }
@@ -135,10 +116,7 @@ func TestIntegrationTriangleSixWays(t *testing.T) {
 func TestIntegrationDeterministicAcrossRuns(t *testing.T) {
 	g := Gnm(25, 70, 12)
 	run := func() (string, int64) {
-		res, err := Enumerate(g, Lollipop(), Options{Strategy: VariableOriented, TargetReducers: 64, Seed: 77})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runQuery(t, g, Lollipop(), WithStrategy(StrategyVariableOriented), WithTargetReducers(64), WithSeed(77))
 		keys := make([]string, 0, len(res.Instances))
 		for _, phi := range res.Instances {
 			keys = append(keys, fmt.Sprint(phi))

@@ -23,7 +23,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"subgraphmr/internal/cq"
 	"subgraphmr/internal/cycles"
@@ -58,38 +57,26 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Options configures Enumerate.
+// Options configures one enumeration. The root planner resolves every
+// default before core sees it: TargetReducers is the positive reducer
+// budget k the share-based strategies optimize for, and Buckets is the
+// resolved b of the bucket-style jobs. Engine knobs (parallelism,
+// partitions, memory budget, spill dir, distributed filter) travel
+// separately as a mapreduce.Config.
 type Options struct {
-	// Strategy is the processing strategy (default BucketOriented).
+	// Strategy is the processing strategy.
 	Strategy Strategy
-	// TargetReducers is the reducer budget k for the share-based strategies
-	// (default 1024). For BucketOriented it picks the largest b with
-	// C(b+p-1, p) ≤ TargetReducers unless Buckets is set.
+	// TargetReducers is the reducer budget k for the share-based
+	// strategies.
 	TargetReducers int
-	// Buckets overrides the bucket count b for BucketOriented.
+	// Buckets is the bucket count b for BucketOriented and the decomposed
+	// conversion.
 	Buckets int
 	// UseCycleCQs selects the Section 5 run-sequence CQ generator when the
 	// sample graph is a cycle (fewer CQs than the general method).
 	UseCycleCQs bool
-	// CountOnly skips materializing instances; Result.Count still reports
-	// the exact total (useful when the output would dwarf memory).
-	CountOnly bool
 	// Seed seeds the bucket hashes (jobs are deterministic given a seed).
 	Seed uint64
-	// Parallelism bounds map worker goroutines (0 = GOMAXPROCS).
-	Parallelism int
-	// Partitions is the number of shuffle partitions / reduce workers of
-	// the pipelined engine (0 = Parallelism). It affects scheduling only,
-	// never the reported Metrics.
-	Partitions int
-	// MemoryBudget bounds, in bytes, the grouped intermediate pairs the
-	// engine's reduce workers hold in memory; 0 means unlimited. When
-	// exceeded the engine spills sorted runs to SpillDir and merge-streams
-	// them into the reducers — instances and core metrics are unchanged,
-	// Metrics.Spilled* record the extra I/O.
-	MemoryBudget int64
-	// SpillDir is the directory for spill run files ("" = system temp).
-	SpillDir string
 	// AdaptiveReplan enables mid-query re-planning for multi-job
 	// strategies: after each CQOriented job, the observed reducer skew
 	// (MaxReducerInput vs the mean) is compared against SkewThreshold, and
@@ -100,42 +87,8 @@ type Options struct {
 	// instances exactly once, at whatever share configuration it runs.
 	AdaptiveReplan bool
 	// SkewThreshold is the observed max/mean load ratio above which
-	// AdaptiveReplan revises the remaining jobs (0 = the default, 4).
+	// AdaptiveReplan revises the remaining jobs.
 	SkewThreshold float64
-	// Dist restricts every job of the enumeration to the owned slices of
-	// the distributed key space (see mapreduce.DistFilter). Set by the
-	// distributed executor on workers; nil for local runs.
-	Dist *mapreduce.DistFilter
-}
-
-func (o Options) reducers() int {
-	if o.TargetReducers > 0 {
-		return o.TargetReducers
-	}
-	return 1024
-}
-
-// DefaultSkewThreshold is the observed max/mean reducer-load ratio above
-// which adaptive execution considers a job skewed (see Options.SkewThreshold
-// and the planner's WithAdaptive).
-const DefaultSkewThreshold = 4.0
-
-func (o Options) skewThreshold() float64 {
-	if o.SkewThreshold > 0 {
-		return o.SkewThreshold
-	}
-	return DefaultSkewThreshold
-}
-
-// engineConfig translates the enumeration options into an engine Config.
-func (o Options) engineConfig() mapreduce.Config {
-	return mapreduce.Config{
-		Parallelism:  o.Parallelism,
-		Partitions:   o.Partitions,
-		MemoryBudget: o.MemoryBudget,
-		SpillDir:     o.SpillDir,
-		Dist:         o.Dist,
-	}
 }
 
 // JobStats describes one map-reduce job of an enumeration.
@@ -175,13 +128,14 @@ type JobStats struct {
 	RetriedPartitions int `json:",omitempty"`
 }
 
-// Result is the outcome of Enumerate.
+// Result is the outcome of an enumeration.
 type Result struct {
 	// Instances holds one assignment (node per sample variable) for every
-	// instance of the sample graph, each instance exactly once. Nil when
-	// Options.CountOnly is set.
+	// instance of the sample graph, each instance exactly once. Core
+	// streams instances into a sink and leaves it nil; the root package's
+	// Run fills it from a collecting sink.
 	Instances [][]graph.Node
-	// Count is the exact number of instances (always populated).
+	// Count is the number of instances the sink accepted.
 	Count int64
 	// Jobs lists per-job statistics (one entry except for CQOriented).
 	Jobs []JobStats
@@ -207,43 +161,25 @@ func (r *Result) TotalReducerWork() int64 {
 	return t
 }
 
-// Enumerate finds every instance of s in g exactly once using a single
-// map-reduce round per job. The sample graph must be connected (reducers
-// only see edges, so an isolated sample node could bind to nodes the
-// reducer never receives).
-func Enumerate(g *graph.Graph, s *sample.Sample, opt Options) (*Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use EnumerateContext
-	return EnumerateContext(context.Background(), g, s, opt)
-}
-
-// EnumerateContext is Enumerate under a context: cancelling ctx aborts the
-// running job (engine workers wind down, spill runs are removed) and
-// returns ctx.Err().
-func EnumerateContext(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options) (*Result, error) {
-	return enumerate(ctx, g, s, opt, nil)
-}
-
-// EnumerateStream enumerates like EnumerateContext but delivers instances
-// one at a time to yield instead of materializing Result.Instances. Calls
-// to yield are serialized and block the engine (backpressure); returning
-// false stops the enumeration early with a nil error. The returned Result
-// has nil Instances; Count is the number of instances yield accepted.
-func EnumerateStream(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options, yield func([]graph.Node) bool) (*Result, error) {
-	if yield == nil {
-		return nil, fmt.Errorf("core: EnumerateStream requires a non-nil yield")
+// EnumerateStream finds every instance of s in g exactly once using a
+// single map-reduce round per job, delivering each instance to sink. Calls
+// to sink are serialized and block the engine (backpressure); returning
+// false stops the enumeration early with a nil error. Cancelling ctx
+// aborts the running job (engine workers wind down, spill runs are
+// removed) and returns ctx.Err(). The sample graph must be connected
+// (reducers only see edges, so an isolated sample node could bind to nodes
+// the reducer never receives).
+func EnumerateStream(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
+	if sink == nil {
+		return nil, fmt.Errorf("core: EnumerateStream requires a non-nil sink")
 	}
-	return enumerate(ctx, g, s, opt, yield)
-}
-
-func enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
 	}
-	qs, err := buildCQs(s, opt)
+	qs, err := CompileCQs(s, opt.UseCycleCQs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	cfg := opt.engineConfig()
 	switch opt.Strategy {
 	case BucketOriented:
 		return bucketOriented(ctx, g, s, qs, opt, cfg, sink)
@@ -256,23 +192,14 @@ func enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Option
 	}
 }
 
-// runEnumJob executes one enumeration job, either materializing its
-// instances (sink nil) or streaming them into sink.
-func runEnumJob(ctx context.Context, job mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node], cfg mapreduce.Config, edges []graph.Edge, sink func([]graph.Node) bool) ([][]graph.Node, mapreduce.Metrics, error) {
-	if sink == nil {
-		return job.RunContext(ctx, cfg, edges)
-	}
-	m, err := job.RunStream(ctx, cfg, edges, sink)
-	return nil, m, err
-}
-
-// buildCQs compiles the sample to its CQ set: the Section 5 generator for
-// cycles when requested, otherwise the Section 3 pipeline (orderings →
-// Aut quotient → orientation merge).
-func buildCQs(s *sample.Sample, opt Options) ([]*cq.CQ, error) {
-	if opt.UseCycleCQs {
+// CompileCQs compiles the sample to the CQ set the jobs evaluate (and the
+// planner prices): the Section 5 generator for cycles when cycle is set,
+// otherwise the Section 3 pipeline (orderings → Aut quotient → orientation
+// merge).
+func CompileCQs(s *sample.Sample, cycle bool) ([]*cq.CQ, error) {
+	if cycle {
 		if d, reg := s.IsRegular(); !reg || d != 2 {
-			return nil, fmt.Errorf("core: UseCycleCQs requires a cycle sample, got %v", s)
+			return nil, fmt.Errorf("cycle CQs require a cycle sample, got %v", s)
 		}
 		var qs []*cq.CQ
 		for _, c := range cycles.Generate(s.P()) {
@@ -281,6 +208,15 @@ func buildCQs(s *sample.Sample, opt Options) ([]*cq.CQ, error) {
 		return qs, nil
 	}
 	return cq.MergeByOrientation(cq.GenerateForSample(s)), nil
+}
+
+// checkBuckets rejects a bucket count the byte-encoded reducer keys cannot
+// express.
+func checkBuckets(b int) error {
+	if b < 1 || b > shares.MaxIntShare {
+		return fmt.Errorf("core: bucket count %d outside [1, %d]", b, shares.MaxIntShare)
+	}
+	return nil
 }
 
 // bucketKey encodes a sorted bucket multiset (or a bucket tuple) as a
@@ -298,20 +234,15 @@ func bucketKey(buckets []int) string {
 
 // bucketOriented implements the Section 4.5 strategy.
 func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
-	p := s.P()
-	b := opt.Buckets
-	if b <= 0 {
-		b = bucketsForReducers(opt.reducers(), p)
-	}
-	if b > shares.MaxIntShare {
-		return nil, fmt.Errorf("core: bucket count %d exceeds %d", b, shares.MaxIntShare)
+	p, b := s.P(), opt.Buckets
+	if err := checkBuckets(b); err != nil {
+		return nil, err
 	}
 	h := bucketHash(opt.Seed, b)
 	less := graph.HashLess(h)
 
 	mapper := bucketEdgeMapper(h, p, b)
 	evals := cq.NewEvaluatorSet(qs) // compiled once per job, shared by all reducers
-	var counted atomic.Int64
 	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
 		local := graph.SparseFromEdges(edges)
 		instBuckets := make([]int, p)
@@ -323,21 +254,17 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 			if !bucketsEqualKey(instBuckets, key) {
 				return
 			}
-			if opt.CountOnly {
-				counted.Add(1)
-			} else {
-				// phi is the evaluator's scratch: copy only the owned
-				// matches that actually leave the reducer.
-				emit(append([]graph.Node(nil), phi...))
-			}
+			// phi is the evaluator's scratch: copy only the owned matches
+			// that actually leave the reducer.
+			emit(append([]graph.Node(nil), phi...))
 		}))
 	}
-	instances, metrics, err := runEnumJob(ctx, mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
+	metrics, err := mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
 		Name:   fmt.Sprintf("bucket-oriented b=%d", b),
 		Map:    mapper,
 		Reduce: reducer,
 		Codec:  edgeCodec{},
-	}, cfg, g.Edges(), sink)
+	}.RunStream(ctx, cfg, g.Edges(), sink)
 	if err != nil {
 		return nil, err
 	}
@@ -350,22 +277,7 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 		Metrics:              metrics,
 		ObservedSkew:         metrics.Skew(),
 	}
-	count := resultCount(opt, sink, counted.Load(), instances, metrics)
-	return &Result{Instances: instances, Count: count, Jobs: []JobStats{job}, NumCQs: len(qs)}, nil
-}
-
-// resultCount picks the exact-count source for a finished job: the
-// reducer-side counter under CountOnly, the number of instances yielded in
-// streaming mode, or the materialized slice length.
-func resultCount(opt Options, sink func([]graph.Node) bool, counted int64, instances [][]graph.Node, metrics mapreduce.Metrics) int64 {
-	switch {
-	case opt.CountOnly:
-		return counted
-	case sink != nil:
-		return metrics.Outputs
-	default:
-		return int64(len(instances))
-	}
+	return &Result{Count: metrics.Outputs, Jobs: []JobStats{job}, NumCQs: len(qs)}, nil
 }
 
 // bucketHash is the node hash every bucket-style job derives from the job
@@ -459,11 +371,6 @@ func bucketsEqualKey(buckets []int, key string) bool {
 	return true
 }
 
-// bucketsForReducers returns the largest b with C(b+p-1, p) ≤ k (at least 1).
-func bucketsForReducers(k, p int) int {
-	return shares.BucketsForReducers(k, p)
-}
-
 // variableOriented implements the Section 4.3 strategy.
 func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
 	p := s.P()
@@ -477,9 +384,8 @@ func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs 
 	return res, nil
 }
 
-// cqOriented implements the Section 4.1 strategy: one job per CQ. In
-// streaming mode an early stop (yield returning false) skips the remaining
-// jobs. Under Options.AdaptiveReplan, the sequence is resumable at a new
+// cqOriented implements the Section 4.1 strategy: one job per CQ. An early
+// stop (sink returning false) skips the remaining jobs. Under Options.AdaptiveReplan, the sequence is resumable at a new
 // configuration: a job whose observed skew exceeds the threshold raises the
 // reducer budget for the remaining jobs (hot reducers split into more,
 // smaller groups), which is sound because each job owns its CQ's instances
@@ -489,17 +395,14 @@ func cqOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.
 	p := s.P()
 	out := &Result{NumCQs: len(qs)}
 	stopped := false
-	wrapped := sink
-	if sink != nil {
-		wrapped = func(phi []graph.Node) bool {
-			if !sink(phi) {
-				stopped = true
-				return false
-			}
-			return true
+	wrapped := func(phi []graph.Node) bool {
+		if !sink(phi) {
+			stopped = true
+			return false
 		}
+		return true
 	}
-	k := opt.reducers()
+	k := opt.TargetReducers
 	replanned := false
 	for i, q := range qs {
 		if stopped || ctx.Err() != nil {
@@ -523,12 +426,11 @@ func cqOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.
 		for j := range res.Jobs {
 			res.Jobs[j].Replanned = replanned
 		}
-		out.Instances = append(out.Instances, res.Instances...)
 		out.Count += res.Count
 		out.Jobs = append(out.Jobs, res.Jobs...)
 
 		if opt.AdaptiveReplan && i+1 < len(qs) {
-			if k2 := replanReducers(k, res.Jobs, qs[i+1:], opt.skewThreshold()); k2 > k {
+			if k2 := replanReducers(k, res.Jobs, qs[i+1:], opt.SkewThreshold); k2 > k {
 				k = k2
 				replanned = true
 			}
@@ -631,18 +533,18 @@ func shareEdgeMapper(p int, binds []edgeBinding, hashes []graph.NodeHash, intSha
 // CQs at each reducer with the natural node order. An instance is emitted
 // only at the reducer matching the hashes of all its nodes.
 func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model shares.Model, binds []edgeBinding, opt Options, cfg mapreduce.Config, label string, sink func([]graph.Node) bool) (*Result, error) {
-	sol, err := model.Solve(float64(opt.reducers()))
+	k := opt.TargetReducers
+	sol, err := model.Solve(float64(k))
 	if err != nil {
 		return nil, err
 	}
-	intShares := model.RoundShares(sol.Shares, float64(opt.reducers()))
+	intShares := model.RoundShares(sol.Shares, float64(k))
 	if mx := shares.MaxShare(intShares); mx > shares.MaxIntShare {
 		return nil, fmt.Errorf("core: share %d exceeds %d", mx, shares.MaxIntShare)
 	}
 	hashes := shareHashes(opt.Seed, intShares)
 	mapper := shareEdgeMapper(p, binds, hashes, intShares)
 	evals := cq.NewEvaluatorSet(qs) // compiled once per job, shared by all reducers
-	var counted atomic.Int64
 	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
 		local := graph.SparseFromEdges(edges)
 		ctx.AddWork(evals.EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
@@ -651,21 +553,17 @@ func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model 
 					return
 				}
 			}
-			if opt.CountOnly {
-				counted.Add(1)
-			} else {
-				// phi is the evaluator's scratch: copy only the owned
-				// matches that actually leave the reducer.
-				emit(append([]graph.Node(nil), phi...))
-			}
+			// phi is the evaluator's scratch: copy only the owned matches
+			// that actually leave the reducer.
+			emit(append([]graph.Node(nil), phi...))
 		}))
 	}
-	instances, metrics, err := runEnumJob(ctx, mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
+	metrics, err := mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
 		Name:   label,
 		Map:    mapper,
 		Reduce: reducer,
 		Codec:  edgeCodec{},
-	}, cfg, g.Edges(), sink)
+	}.RunStream(ctx, cfg, g.Edges(), sink)
 	if err != nil {
 		return nil, err
 	}
@@ -681,10 +579,9 @@ func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model 
 		OptimalCommPerEdge:   sol.CostPerEdge,
 		Metrics:              metrics,
 		ObservedSkew:         metrics.Skew(),
-		TargetReducers:       opt.reducers(),
+		TargetReducers:       k,
 	}
-	count := resultCount(opt, sink, counted.Load(), instances, metrics)
-	return &Result{Instances: instances, Count: count, Jobs: []JobStats{job}}, nil
+	return &Result{Count: metrics.Outputs, Jobs: []JobStats{job}}, nil
 }
 
 func cqStrings(qs []*cq.CQ) []string {

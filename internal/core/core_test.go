@@ -1,13 +1,37 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"subgraphmr/internal/graph"
+	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
 	"subgraphmr/internal/shares"
 )
+
+// enumerate runs EnumerateStream with a collecting sink, resolving the
+// defaults the root planner would (k = 1024, b from Theorem 4.2), and
+// returns the result with Instances filled in.
+func enumerate(g *graph.Graph, s *sample.Sample, opt Options) (*Result, error) {
+	if opt.TargetReducers == 0 {
+		opt.TargetReducers = 1024
+	}
+	if opt.Buckets == 0 {
+		opt.Buckets = shares.BucketsForReducers(opt.TargetReducers, s.P())
+	}
+	var got [][]graph.Node
+	res, err := EnumerateStream(context.Background(), g, s, opt, mapreduce.Config{}, func(phi []graph.Node) bool {
+		got = append(got, phi)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Instances = got
+	return res, nil
+}
 
 func oracleKeys(g *graph.Graph, s *sample.Sample) map[string]bool {
 	want := map[string]bool{}
@@ -61,7 +85,7 @@ func TestAllStrategiesMatchOracle(t *testing.T) {
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
 		for _, g := range graphs {
 			for _, s := range samples {
-				res, err := Enumerate(g, s, Options{Strategy: strat, TargetReducers: 200, Seed: 5})
+				res, err := enumerate(g, s, Options{Strategy: strat, TargetReducers: 200, Seed: 5})
 				if err != nil {
 					t.Fatalf("%v %v: %v", strat, s, err)
 				}
@@ -75,11 +99,11 @@ func TestCycleCQStrategy(t *testing.T) {
 	g := graph.Gnm(16, 40, 3)
 	for _, p := range []int{5, 6} {
 		s := sample.Cycle(p)
-		general, err := Enumerate(g, s, Options{Strategy: BucketOriented, Buckets: 4})
+		general, err := enumerate(g, s, Options{Strategy: BucketOriented, Buckets: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		specialized, err := Enumerate(g, s, Options{Strategy: BucketOriented, Buckets: 4, UseCycleCQs: true})
+		specialized, err := enumerate(g, s, Options{Strategy: BucketOriented, Buckets: 4, UseCycleCQs: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +115,7 @@ func TestCycleCQStrategy(t *testing.T) {
 		}
 	}
 	// UseCycleCQs on a non-cycle fails.
-	if _, err := Enumerate(g, sample.Lollipop(), Options{UseCycleCQs: true}); err == nil {
+	if _, err := enumerate(g, sample.Lollipop(), Options{UseCycleCQs: true}); err == nil {
 		t.Error("UseCycleCQs on the lollipop should fail")
 	}
 }
@@ -99,7 +123,7 @@ func TestCycleCQStrategy(t *testing.T) {
 func TestDisconnectedSampleRejected(t *testing.T) {
 	g := graph.CompleteGraph(5)
 	s := sample.MustNew(3, [][2]int{{0, 1}}) // isolated third node
-	if _, err := Enumerate(g, s, Options{}); err == nil {
+	if _, err := enumerate(g, s, Options{}); err == nil {
 		t.Error("disconnected sample should be rejected")
 	}
 }
@@ -117,7 +141,7 @@ func TestBucketOrientedCommMatchesTheorem42(t *testing.T) {
 		{sample.Lollipop(), 5},
 		{sample.Cycle(5), 3},
 	} {
-		res, err := Enumerate(g, tc.s, Options{Strategy: BucketOriented, Buckets: tc.b, Seed: 9})
+		res, err := enumerate(g, tc.s, Options{Strategy: BucketOriented, Buckets: tc.b, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +162,7 @@ func TestBucketOrientedCommMatchesTheorem42(t *testing.T) {
 func TestVariableOrientedCommMatchesModel(t *testing.T) {
 	g := graph.Gnm(25, 90, 6)
 	for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop()} {
-		res, err := Enumerate(g, s, Options{Strategy: VariableOriented, TargetReducers: 500, Seed: 3})
+		res, err := enumerate(g, s, Options{Strategy: VariableOriented, TargetReducers: 500, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +192,14 @@ func TestCQOrientedPerJobStats(t *testing.T) {
 	g := graph.Gnm(25, 90, 8)
 	s := sample.Lollipop()
 	k := 300
-	cqRes, err := Enumerate(g, s, Options{Strategy: CQOriented, TargetReducers: k, Seed: 3})
+	cqRes, err := enumerate(g, s, Options{Strategy: CQOriented, TargetReducers: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cqRes.Jobs) != 6 {
 		t.Fatalf("lollipop should run 6 CQ jobs, got %d", len(cqRes.Jobs))
 	}
-	varRes, err := Enumerate(g, s, Options{Strategy: VariableOriented, TargetReducers: k, Seed: 3})
+	varRes, err := enumerate(g, s, Options{Strategy: VariableOriented, TargetReducers: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +216,7 @@ func TestConvertibilityGeneral(t *testing.T) {
 	s := sample.Triangle()
 	serialWork := serial.Triangles(g, func(_, _, _ graph.Node) {})
 	for _, b := range []int{2, 4, 6} {
-		res, err := Enumerate(g, s, Options{Strategy: BucketOriented, Buckets: b, Seed: 2})
+		res, err := enumerate(g, s, Options{Strategy: BucketOriented, Buckets: b, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,17 +230,17 @@ func TestConvertibilityGeneral(t *testing.T) {
 func TestDefaultBucketSelection(t *testing.T) {
 	// With TargetReducers = 220 and p = 3, the largest b with
 	// C(b+2,3) ≤ 220 is 10 (Fig. 2's Section 2.3 row).
-	if b := bucketsForReducers(220, 3); b != 10 {
-		t.Errorf("bucketsForReducers(220, 3) = %d, want 10", b)
+	if b := shares.BucketsForReducers(220, 3); b != 10 {
+		t.Errorf("BucketsForReducers(220, 3) = %d, want 10", b)
 	}
-	if b := bucketsForReducers(1, 4); b != 1 {
-		t.Errorf("bucketsForReducers(1, 4) = %d, want 1", b)
+	if b := shares.BucketsForReducers(1, 4); b != 1 {
+		t.Errorf("BucketsForReducers(1, 4) = %d, want 1", b)
 	}
 }
 
 func TestStatsPopulated(t *testing.T) {
 	g := graph.Gnm(15, 40, 1)
-	res, err := Enumerate(g, sample.Square(), Options{Strategy: BucketOriented, Buckets: 4})
+	res, err := enumerate(g, sample.Square(), Options{Strategy: BucketOriented, Buckets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,28 +256,38 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestCountOnly: count-only mode reports the exact total without
-// materializing instances, across all three strategies.
+// TestCountOnly: a sink that only counts reports the same exact total and
+// communication as a collecting one, across all three strategies, and
+// Count is the number of instances the sink accepted (Metrics.Outputs).
 func TestCountOnly(t *testing.T) {
 	g := graph.Gnm(20, 60, 3)
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
 		for _, s := range []*sample.Sample{sample.Triangle(), sample.Lollipop()} {
-			full, err := Enumerate(g, s, Options{Strategy: strat, TargetReducers: 100, Seed: 4})
+			opt := Options{Strategy: strat, TargetReducers: 100, Buckets: 4, Seed: 4}
+			full, err := enumerate(g, s, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			counted, err := Enumerate(g, s, Options{Strategy: strat, TargetReducers: 100, Seed: 4, CountOnly: true})
+			var seen int64
+			counted, err := EnumerateStream(context.Background(), g, s, opt, mapreduce.Config{}, func([]graph.Node) bool {
+				seen++
+				return true
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if counted.Count != full.Count || counted.Count != int64(len(full.Instances)) {
-				t.Errorf("%v %v: count-only %d vs full %d", strat, s, counted.Count, full.Count)
+			if counted.Count != full.Count || counted.Count != int64(len(full.Instances)) || seen != counted.Count {
+				t.Errorf("%v %v: counted %d (sink saw %d) vs full %d", strat, s, counted.Count, seen, full.Count)
 			}
-			if len(counted.Instances) != 0 {
-				t.Errorf("%v: count-only materialized %d instances", strat, len(counted.Instances))
+			var outputs int64
+			for _, j := range counted.Jobs {
+				outputs += j.Metrics.Outputs
+			}
+			if outputs != counted.Count {
+				t.Errorf("%v %v: Outputs %d, Count %d", strat, s, outputs, counted.Count)
 			}
 			if counted.TotalComm() != full.TotalComm() {
-				t.Errorf("%v: count-only changed communication", strat)
+				t.Errorf("%v: counting changed communication", strat)
 			}
 		}
 	}
@@ -264,12 +298,12 @@ func TestCountOnly(t *testing.T) {
 func TestShareOverflowRejected(t *testing.T) {
 	g := graph.Gnm(10, 20, 1)
 	// Single-edge sample: one variable absorbs the whole budget.
-	if _, err := Enumerate(g, sample.SingleEdge(), Options{
+	if _, err := enumerate(g, sample.SingleEdge(), Options{
 		Strategy: VariableOriented, TargetReducers: 100000,
 	}); err == nil {
 		t.Error("share > 255 should be rejected")
 	}
-	if _, err := Enumerate(g, sample.Triangle(), Options{
+	if _, err := enumerate(g, sample.Triangle(), Options{
 		Strategy: BucketOriented, Buckets: 300,
 	}); err == nil {
 		t.Error("buckets > 255 should be rejected")
@@ -280,7 +314,7 @@ func TestShareOverflowRejected(t *testing.T) {
 func TestEmptyDataGraph(t *testing.T) {
 	g := graph.FromEdges(6, nil)
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
-		res, err := Enumerate(g, sample.Triangle(), Options{Strategy: strat, TargetReducers: 16})
+		res, err := enumerate(g, sample.Triangle(), Options{Strategy: strat, TargetReducers: 16})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -293,7 +327,7 @@ func TestEmptyDataGraph(t *testing.T) {
 // TestEdgeSampleP2: the p = 2 mapper special case (no completion buckets).
 func TestEdgeSampleP2(t *testing.T) {
 	g := graph.Gnm(12, 30, 2)
-	res, err := Enumerate(g, sample.SingleEdge(), Options{Strategy: BucketOriented, Buckets: 4})
+	res, err := enumerate(g, sample.SingleEdge(), Options{Strategy: BucketOriented, Buckets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +343,7 @@ func TestEdgeSampleP2(t *testing.T) {
 // TestUnknownStrategyRejected covers the default switch branch.
 func TestUnknownStrategyRejected(t *testing.T) {
 	g := graph.Gnm(5, 8, 1)
-	if _, err := Enumerate(g, sample.Triangle(), Options{Strategy: Strategy(99)}); err == nil {
+	if _, err := enumerate(g, sample.Triangle(), Options{Strategy: Strategy(99)}); err == nil {
 		t.Error("unknown strategy should be rejected")
 	}
 	if Strategy(99).String() == "" {

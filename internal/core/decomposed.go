@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
@@ -12,38 +11,22 @@ import (
 	"subgraphmr/internal/shares"
 )
 
-// EnumerateDecomposed runs the Theorem 6.1 conversion of the serial
+// EnumerateDecomposedStream runs the Theorem 6.1 conversion of the serial
 // decomposition algorithm (Theorem 7.2) as one map-reduce round: edges are
-// shipped with the Section 4.5 bucket mapper, every reducer runs the serial
-// decomposition algorithm on its local edge fragment, and an instance is
-// kept only by the reducer owning its bucket multiset — so each instance
-// surfaces exactly once and total reducer work stays Θ(serial work) spread
-// over C(b+p-1, p) reducers. Pass nil parts to use the optimal
-// decomposition.
+// shipped with the Section 4.5 bucket mapper at opt.Buckets, every reducer
+// runs the serial decomposition algorithm on its local edge fragment, and
+// an instance is kept only by the reducer owning its bucket multiset — so
+// each instance surfaces exactly once and total reducer work stays
+// Θ(serial work) spread over C(b+p-1, p) reducers. Pass nil parts to use
+// the optimal decomposition. Instances are delivered to sink; see
+// EnumerateStream for the sink and cancellation contract.
 //
 // The sample must be connected: every node of an instance is then incident
 // to an instance edge, all of which reach the owning reducer.
-func EnumerateDecomposed(g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options) (*Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use EnumerateDecomposedContext
-	return EnumerateDecomposedContext(context.Background(), g, s, parts, opt)
-}
-
-// EnumerateDecomposedContext is EnumerateDecomposed under a context; see
-// EnumerateContext for the cancellation contract.
-func EnumerateDecomposedContext(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options) (*Result, error) {
-	return enumerateDecomposed(ctx, g, s, parts, opt, nil)
-}
-
-// EnumerateDecomposedStream streams instances into yield instead of
-// materializing them; see EnumerateStream for the yield contract.
-func EnumerateDecomposedStream(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options, yield func([]graph.Node) bool) (*Result, error) {
-	if yield == nil {
-		return nil, fmt.Errorf("core: EnumerateDecomposedStream requires a non-nil yield")
+func EnumerateDecomposedStream(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
+	if sink == nil {
+		return nil, fmt.Errorf("core: EnumerateDecomposedStream requires a non-nil sink")
 	}
-	return enumerateDecomposed(ctx, g, s, parts, opt, yield)
-}
-
-func enumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
 	}
@@ -53,18 +36,12 @@ func enumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 	if err := s.ValidateParts(parts); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	p := s.P()
-	b := opt.Buckets
-	if b <= 0 {
-		b = bucketsForReducers(opt.reducers(), p)
-	}
-	if b > shares.MaxIntShare {
-		return nil, fmt.Errorf("core: bucket count %d exceeds %d", b, shares.MaxIntShare)
+	p, b := s.P(), opt.Buckets
+	if err := checkBuckets(b); err != nil {
+		return nil, err
 	}
 	h := bucketHash(opt.Seed, b)
-	cfg := opt.engineConfig()
 
-	var counted atomic.Int64
 	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
 		maxID := graph.Node(0)
 		for _, e := range edges {
@@ -88,23 +65,18 @@ func enumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 				instBuckets[i] = h.Bucket(u)
 			}
 			sortSmallInts(instBuckets)
-			if !bucketsEqualKey(instBuckets, key) {
-				continue
-			}
-			if opt.CountOnly {
-				counted.Add(1)
-			} else {
+			if bucketsEqualKey(instBuckets, key) {
 				emit(phi)
 			}
 		}
 	}
 
-	instances, metrics, err := runEnumJob(ctx, mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
+	metrics, err := mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
 		Name:   fmt.Sprintf("decomposed (Theorem 6.1) b=%d", b),
 		Map:    bucketEdgeMapper(h, p, b),
 		Reduce: reducer,
 		Codec:  edgeCodec{},
-	}, cfg, g.Edges(), sink)
+	}.RunStream(ctx, cfg, g.Edges(), sink)
 	if err != nil {
 		return nil, err
 	}
@@ -117,6 +89,5 @@ func enumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 		Metrics:              metrics,
 		ObservedSkew:         metrics.Skew(),
 	}
-	count := resultCount(opt, sink, counted.Load(), instances, metrics)
-	return &Result{Instances: instances, Count: count, Jobs: []JobStats{job}}, nil
+	return &Result{Count: metrics.Outputs, Jobs: []JobStats{job}}, nil
 }

@@ -1,13 +1,30 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"subgraphmr/internal/graph"
+	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
 )
+
+// enumerateDecomposed runs EnumerateDecomposedStream under cfg with a
+// collecting sink and returns the result with Instances filled in.
+func enumerateDecomposed(g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options, cfg mapreduce.Config) (*Result, error) {
+	var got [][]graph.Node
+	res, err := EnumerateDecomposedStream(context.Background(), g, s, parts, opt, cfg, func(phi []graph.Node) bool {
+		got = append(got, phi)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Instances = got
+	return res, nil
+}
 
 func sortInstances(xs [][]graph.Node) {
 	sort.Slice(xs, func(i, j int) bool {
@@ -40,7 +57,7 @@ func TestEnumerateDecomposedMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", gname, sname, err)
 			}
-			res, err := EnumerateDecomposed(g, s, nil, Options{Buckets: 3, Seed: 11, Parallelism: 4})
+			res, err := enumerateDecomposed(g, s, nil, Options{Buckets: 3, Seed: 11}, mapreduce.Config{Parallelism: 4})
 			if err != nil {
 				t.Fatalf("%s/%s mr: %v", gname, sname, err)
 			}
@@ -67,23 +84,22 @@ func TestEnumerateDecomposedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEnumerateDecomposedCountOnly checks the counting path.
+// TestEnumerateDecomposedCountOnly checks the counting path: a sink that
+// only counts reports the same Count as a collecting one.
 func TestEnumerateDecomposedCountOnly(t *testing.T) {
 	g := graph.Gnm(80, 400, 9)
 	s := sample.Triangle()
-	full, err := EnumerateDecomposed(g, s, nil, Options{Buckets: 4, Seed: 2})
+	opt := Options{Buckets: 4, Seed: 2}
+	full, err := enumerateDecomposed(g, s, nil, opt, mapreduce.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted, err := EnumerateDecomposed(g, s, nil, Options{Buckets: 4, Seed: 2, CountOnly: true})
+	counted, err := EnumerateDecomposedStream(context.Background(), g, s, nil, opt, mapreduce.Config{}, func([]graph.Node) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counted.Instances != nil {
-		t.Errorf("count-only materialized %d instances", len(counted.Instances))
-	}
-	if counted.Count != full.Count {
-		t.Errorf("count-only = %d, full = %d", counted.Count, full.Count)
+	if counted.Count != full.Count || counted.Count != int64(len(full.Instances)) {
+		t.Errorf("counted = %d, full = %d (%d instances)", counted.Count, full.Count, len(full.Instances))
 	}
 }
 
@@ -91,16 +107,16 @@ func TestEnumerateDecomposedCountOnly(t *testing.T) {
 func TestEnumerateDecomposedRejectsBadParts(t *testing.T) {
 	g := graph.Gnm(20, 40, 1)
 	s := sample.Triangle()
-	if _, err := EnumerateDecomposed(g, s, []sample.Part{
+	if _, err := enumerateDecomposed(g, s, []sample.Part{
 		{Kind: sample.IsolatedNode, Vars: []int{0}},
-	}, Options{Buckets: 2}); err == nil {
+	}, Options{Buckets: 2}, mapreduce.Config{}); err == nil {
 		t.Error("incomplete decomposition accepted")
 	}
 	disc, err := sample.New(4, [][2]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EnumerateDecomposed(g, disc, nil, Options{Buckets: 2}); err == nil {
+	if _, err := enumerateDecomposed(g, disc, nil, Options{Buckets: 2}, mapreduce.Config{}); err == nil {
 		t.Error("disconnected sample accepted")
 	}
 }

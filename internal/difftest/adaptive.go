@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -34,12 +33,7 @@ func CheckAdaptiveParity(g *graph.Graph, s *sample.Sample, st subgraphmr.PlanStr
 		if adaptive {
 			opts = append(opts, subgraphmr.WithAdaptive())
 		}
-		plan, err := subgraphmr.Plan(g, s, opts...)
-		if err != nil {
-			return nil, mapreduce.Metrics{}, nil, err
-		}
-		//lint:allow ctxhygiene difftest harness drives complete runs; there is no caller cancellation to thread
-		res, err := subgraphmr.Run(context.Background(), plan)
+		res, err := runPlan(g, s, opts...)
 		if err != nil {
 			return nil, mapreduce.Metrics{}, nil, err
 		}

@@ -11,18 +11,17 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"subgraphmr/internal/core"
+	"subgraphmr"
 	"subgraphmr/internal/directed"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/multijoin"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
-	"subgraphmr/internal/triangle"
-	"subgraphmr/internal/tworound"
 )
 
 // compareInstances checks that got contains exactly the oracle's instance
@@ -53,27 +52,25 @@ func sampleOracle(g *graph.Graph, s *sample.Sample) map[string]bool {
 	return want
 }
 
-// CheckEnumerate runs core.Enumerate under opt and compares the instance
-// set against the brute-force oracle.
-func CheckEnumerate(g *graph.Graph, s *sample.Sample, opt core.Options) (mapreduce.Metrics, error) {
-	res, err := core.Enumerate(g, s, opt)
+// runPlan plans s in g under opts and runs the plan to completion
+// through the public Plan/Run API — the path users hit.
+func runPlan(g *graph.Graph, s *sample.Sample, opts ...subgraphmr.Option) (*subgraphmr.Result, error) {
+	plan, err := subgraphmr.Plan(g, s, opts...)
+	if err != nil {
+		return nil, err
+	}
+	//lint:allow ctxhygiene difftest harness drives complete runs; there is no caller cancellation to thread
+	return subgraphmr.Run(context.Background(), plan)
+}
+
+// checkPlan runs s in g under strategy st and opts through Plan+Run and
+// compares the instance set against the oracle's (keyed by s.Key),
+// returning the summed metrics of every job the run executed.
+func checkPlan(label string, g *graph.Graph, s *sample.Sample, want map[string]bool, st subgraphmr.PlanStrategy, opts []subgraphmr.Option) (mapreduce.Metrics, error) {
+	res, err := runPlan(g, s, append([]subgraphmr.Option{subgraphmr.WithStrategy(st)}, opts...)...)
 	if err != nil {
 		return mapreduce.Metrics{}, err
 	}
-	return checkResult(fmt.Sprintf("enumerate/%v/%v", opt.Strategy, s), g, s, res)
-}
-
-// CheckDecomposed runs the Theorem 6.1 decomposition conversion and
-// compares the instance set against the brute-force oracle.
-func CheckDecomposed(g *graph.Graph, s *sample.Sample, opt core.Options) (mapreduce.Metrics, error) {
-	res, err := core.EnumerateDecomposed(g, s, nil, opt)
-	if err != nil {
-		return mapreduce.Metrics{}, err
-	}
-	return checkResult(fmt.Sprintf("mr-decompose/%v", s), g, s, res)
-}
-
-func checkResult(label string, g *graph.Graph, s *sample.Sample, res *core.Result) (mapreduce.Metrics, error) {
 	var m mapreduce.Metrics
 	for _, j := range res.Jobs {
 		m.Add(j.Metrics)
@@ -85,7 +82,7 @@ func checkResult(label string, g *graph.Graph, s *sample.Sample, res *core.Resul
 		}
 		keys = append(keys, s.Key(phi))
 	}
-	if err := compareInstances(label, sampleOracle(g, s), keys); err != nil {
+	if err := compareInstances(label, want, keys); err != nil {
 		return m, err
 	}
 	if res.Count != int64(len(res.Instances)) {
@@ -94,47 +91,38 @@ func checkResult(label string, g *graph.Graph, s *sample.Sample, res *core.Resul
 	return m, nil
 }
 
+// CheckEnumerate runs one CQ-based strategy (bucket-, variable- or
+// cq-oriented) under opts and compares the instance set against the
+// brute-force oracle.
+func CheckEnumerate(g *graph.Graph, s *sample.Sample, st subgraphmr.PlanStrategy, opts ...subgraphmr.Option) (mapreduce.Metrics, error) {
+	return checkPlan(fmt.Sprintf("enumerate/%v/%v", st, s), g, s, sampleOracle(g, s), st, opts)
+}
+
+// CheckDecomposed runs the Theorem 6.1 decomposition conversion and
+// compares the instance set against the brute-force oracle.
+func CheckDecomposed(g *graph.Graph, s *sample.Sample, opts ...subgraphmr.Option) (mapreduce.Metrics, error) {
+	return checkPlan(fmt.Sprintf("mr-decompose/%v", s), g, s, sampleOracle(g, s), subgraphmr.StrategyDecomposed, opts)
+}
+
 // CheckTwoRound runs the two-round cascade baseline and compares its
 // triangle set against the serial enumerator.
-func CheckTwoRound(g *graph.Graph, cfg mapreduce.Config) (mapreduce.Metrics, error) {
-	res := tworound.Triangles(g, cfg)
-	got := make([]string, 0, len(res.Triangles))
-	for _, tr := range res.Triangles {
-		got = append(got, fmt.Sprint(tr))
-	}
-	return res.Chain.Total(), compareInstances("tworound", triangleOracle(g), got)
+func CheckTwoRound(g *graph.Graph, opts ...subgraphmr.Option) (mapreduce.Metrics, error) {
+	return checkPlan("tworound", g, sample.Triangle(), triangleOracle(g), subgraphmr.StrategyTwoRound, opts)
 }
 
-// CheckTriangle runs one of the Section 2 triangle algorithms ("partition",
-// "multiway" or "bucket") and compares its triangle set against the serial
-// enumerator.
-func CheckTriangle(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.Config) (mapreduce.Metrics, error) {
-	var res triangle.Result
-	var err error
-	switch algo {
-	case "partition":
-		res, err = triangle.Partition(g, b, seed, cfg)
-	case "multiway":
-		res, err = triangle.Multiway(g, b, seed, cfg)
-	case "bucket":
-		res, err = triangle.BucketOrdered(g, b, seed, cfg)
-	default:
-		return mapreduce.Metrics{}, fmt.Errorf("difftest: unknown triangle algorithm %q", algo)
-	}
-	if err != nil {
-		return mapreduce.Metrics{}, err
-	}
-	got := make([]string, 0, len(res.Triangles))
-	for _, tr := range res.Triangles {
-		got = append(got, fmt.Sprint(tr))
-	}
-	return res.Metrics, compareInstances("triangle/"+algo, triangleOracle(g), got)
+// CheckTriangle runs one of the Section 2 triangle algorithms and compares
+// its triangle set against the serial enumerator.
+func CheckTriangle(g *graph.Graph, st subgraphmr.PlanStrategy, opts ...subgraphmr.Option) (mapreduce.Metrics, error) {
+	return checkPlan(fmt.Sprintf("triangle/%v", st), g, sample.Triangle(), triangleOracle(g), st, opts)
 }
 
+// triangleOracle enumerates the oracle triangle set of g with the serial
+// algorithm, keyed like the triangle sample's instances.
 func triangleOracle(g *graph.Graph) map[string]bool {
+	tri := sample.Triangle()
 	want := map[string]bool{}
 	serial.Triangles(g, func(a, b, c graph.Node) {
-		want[fmt.Sprint([3]graph.Node{a, b, c})] = true
+		want[tri.Key([]graph.Node{a, b, c})] = true
 	})
 	return want
 }

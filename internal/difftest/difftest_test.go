@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"subgraphmr/internal/core"
+	"subgraphmr"
 	"subgraphmr/internal/directed"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/multijoin"
@@ -23,6 +23,16 @@ var modes = []struct {
 	{"spill", 2048},
 }
 
+// engine returns the engine options every check runs under: two map
+// workers, two shuffle partitions and the mode's memory budget.
+func engine(budget int64) []subgraphmr.Option {
+	return []subgraphmr.Option{
+		subgraphmr.WithParallelism(2),
+		subgraphmr.WithPartitions(2),
+		subgraphmr.WithMemoryBudget(budget),
+	}
+}
+
 // wantSpill asserts the spill mode actually exercised the external shuffle.
 func wantSpill(t *testing.T, budget int64, m mapreduce.Metrics) {
 	t.Helper()
@@ -37,18 +47,12 @@ func wantSpill(t *testing.T, budget int64, m mapreduce.Metrics) {
 func TestEnumerateAllStrategies(t *testing.T) {
 	for gname, g := range Graphs(7) {
 		for _, s := range Samples() {
-			for _, strat := range []core.Strategy{core.BucketOriented, core.VariableOriented, core.CQOriented} {
+			for _, strat := range []subgraphmr.PlanStrategy{subgraphmr.StrategyBucketOriented, subgraphmr.StrategyVariableOriented, subgraphmr.StrategyCQOriented} {
 				for _, mode := range modes {
 					name := fmt.Sprintf("%s/%v/%v/%s", gname, s, strat, mode.name)
 					t.Run(name, func(t *testing.T) {
-						m, err := CheckEnumerate(g, s, core.Options{
-							Strategy:       strat,
-							TargetReducers: 64,
-							Seed:           11,
-							Parallelism:    2,
-							Partitions:     2,
-							MemoryBudget:   mode.budget,
-						})
+						m, err := CheckEnumerate(g, s, strat, append(engine(mode.budget),
+							subgraphmr.WithTargetReducers(64), subgraphmr.WithSeed(11))...)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -63,13 +67,8 @@ func TestEnumerateAllStrategies(t *testing.T) {
 func TestEnumerateCycleCQs(t *testing.T) {
 	g := Graphs(3)["gnm"]
 	for _, mode := range modes {
-		m, err := CheckEnumerate(g, sample.Named("c5"), core.Options{
-			UseCycleCQs:    true,
-			TargetReducers: 64,
-			Parallelism:    2,
-			Partitions:     2,
-			MemoryBudget:   mode.budget,
-		})
+		m, err := CheckEnumerate(g, sample.Named("c5"), subgraphmr.StrategyBucketOriented, append(engine(mode.budget),
+			subgraphmr.WithCycleCQs(), subgraphmr.WithTargetReducers(64))...)
 		if err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
@@ -85,13 +84,8 @@ func TestDecomposed(t *testing.T) {
 			}
 			for _, mode := range modes {
 				t.Run(fmt.Sprintf("%s/%v/%s", gname, s, mode.name), func(t *testing.T) {
-					m, err := CheckDecomposed(g, s, core.Options{
-						TargetReducers: 64,
-						Seed:           5,
-						Parallelism:    2,
-						Partitions:     2,
-						MemoryBudget:   mode.budget,
-					})
+					m, err := CheckDecomposed(g, s, append(engine(mode.budget),
+						subgraphmr.WithTargetReducers(64), subgraphmr.WithSeed(5))...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -106,9 +100,7 @@ func TestTwoRoundCascade(t *testing.T) {
 	for gname, g := range Graphs(13) {
 		for _, mode := range modes {
 			t.Run(gname+"/"+mode.name, func(t *testing.T) {
-				m, err := CheckTwoRound(g, mapreduce.Config{
-					Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
-				})
+				m, err := CheckTwoRound(g, engine(mode.budget)...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,13 +111,20 @@ func TestTwoRoundCascade(t *testing.T) {
 }
 
 func TestTriangleAlgorithms(t *testing.T) {
+	algos := []struct {
+		name string
+		st   subgraphmr.PlanStrategy
+	}{
+		{"partition", subgraphmr.StrategyTrianglePartition},
+		{"multiway", subgraphmr.StrategyTriangleMultiway},
+		{"bucket", subgraphmr.StrategyTriangleBucketOrdered},
+	}
 	for gname, g := range Graphs(17) {
-		for _, algo := range []string{"partition", "multiway", "bucket"} {
+		for _, algo := range algos {
 			for _, mode := range modes {
-				t.Run(fmt.Sprintf("%s/%s/%s", gname, algo, mode.name), func(t *testing.T) {
-					m, err := CheckTriangle(g, algo, 4, 3, mapreduce.Config{
-						Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
-					})
+				t.Run(fmt.Sprintf("%s/%s/%s", gname, algo.name, mode.name), func(t *testing.T) {
+					m, err := CheckTriangle(g, algo.st, append(engine(mode.budget),
+						subgraphmr.WithBuckets(4), subgraphmr.WithSeed(3))...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -188,12 +187,8 @@ func TestDirectedPatterns(t *testing.T) {
 // compaction, and must still agree with the oracle.
 func TestOneByteBudget(t *testing.T) {
 	g := Graphs(29)["gnm"]
-	m, err := CheckEnumerate(g, sample.Named("triangle"), core.Options{
-		TargetReducers: 64,
-		Parallelism:    2,
-		Partitions:     2,
-		MemoryBudget:   1,
-	})
+	m, err := CheckEnumerate(g, sample.Named("triangle"), subgraphmr.StrategyBucketOriented, append(engine(1),
+		subgraphmr.WithTargetReducers(64))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 	"subgraphmr/internal/shares"
 )
 
-// Options configures the directed enumeration. It mirrors the execution
-// fields of core.Options exactly (asserted by the public options-parity
-// test), so every knob the undirected strategies honor works here too.
+// Options configures the directed enumeration. It carries every execution
+// knob the undirected strategies honor through core.Options and
+// mapreduce.Config (asserted by the public options-parity test).
 type Options struct {
 	// Buckets is the hash bucket count b (default: derived from
 	// TargetReducers, or 4 when that is unset too).

@@ -164,8 +164,8 @@ type Config struct {
 	// memory is bounded by the budget plus the largest single key group.
 	// The bound covers the shuffle only: values emitted by reducers still
 	// accumulate in memory until Run returns, so jobs whose output is
-	// itself huge should aggregate or count in the reducer instead of
-	// materializing (cf. core's CountOnly). Outputs and the core metrics
+	// itself huge should aggregate in the reducer or stream through
+	// RunStream instead of materializing. Outputs and the core metrics
 	// are identical to the in-memory path; the Spill* metrics record the
 	// extra I/O. Spill I/O failures surface as a typed *EngineError from
 	// RunContext/RunStream (the ctx-less Run, having no error return,

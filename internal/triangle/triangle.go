@@ -24,48 +24,38 @@ import (
 	"subgraphmr/internal/mapreduce"
 )
 
-// Result is the outcome of one triangle job.
+// Result is the outcome of one triangle job; the triangles themselves
+// went to the job's sink.
 type Result struct {
-	// Triangles lists every triangle once, as id-sorted node triples.
-	Triangles [][3]graph.Node
 	// Metrics carries the communication cost, reducer count, skew, and
-	// reducer work of the job.
+	// reducer work of the job; Metrics.Outputs counts the triangles the
+	// sink accepted.
 	Metrics mapreduce.Metrics
 	// Buckets is the b used.
 	Buckets int
 }
 
-// Count returns the number of triangles found.
-func (r Result) Count() int64 { return int64(len(r.Triangles)) }
-
 type triple struct{ A, B, C int }
 
-// runTriangleJob executes one triangle job, materializing the triangles
-// (sink nil) or streaming each into sink; see mapreduce.Job.RunStream for
-// the sink and cancellation contract.
+// runTriangleJob executes one triangle job, streaming each triangle (as an
+// id-sorted node triple) into sink; see mapreduce.Job.RunStream for the
+// sink and cancellation contract.
 func runTriangleJob[V any](ctx context.Context, j mapreduce.Job[graph.Edge, triple, V, [3]graph.Node], cfg mapreduce.Config, edges []graph.Edge, b int, sink func([3]graph.Node) bool) (Result, error) {
 	if sink == nil {
-		tris, metrics, err := j.RunContext(ctx, cfg, edges)
-		return Result{Triangles: tris, Metrics: metrics, Buckets: b}, err
+		return Result{}, fmt.Errorf("triangle: %s requires a non-nil sink", j.Name)
 	}
 	metrics, err := j.RunStream(ctx, cfg, edges, sink)
 	return Result{Metrics: metrics, Buckets: b}, err
 }
 
-// Partition runs the Suri–Vassilvitskii Partition algorithm with b ≥ 3 node
-// groups. Each reducer R_{ijk} (i<j<k) receives the edges with both
-// endpoints in S_i ∪ S_j ∪ S_k; a triangle is emitted only by the reducer
-// whose triple is the canonical completion of the triangle's group set, so
-// the over-counting the paper describes is compensated exactly.
-func Partition(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) (Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use PartitionContext
-	return PartitionContext(context.Background(), g, b, seed, cfg, nil)
-}
-
-// PartitionContext is Partition under a context and an optional streaming
-// sink: a nil sink materializes Result.Triangles; a non-nil sink receives
-// each triangle instead (serialized, with backpressure; returning false
-// stops the job early). Cancelling ctx aborts the job with ctx.Err().
+// PartitionContext runs the Suri–Vassilvitskii Partition algorithm with
+// b ≥ 3 node groups. Each reducer R_{ijk} (i<j<k) receives the edges with
+// both endpoints in S_i ∪ S_j ∪ S_k; a triangle is emitted only by the
+// reducer whose triple is the canonical completion of the triangle's group
+// set, so the over-counting the paper describes is compensated exactly.
+// Each triangle goes to sink (serialized, with backpressure; returning
+// false stops the job early). Cancelling ctx aborts the job with
+// ctx.Err().
 func PartitionContext(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error) {
 	if b < 3 {
 		return Result{}, fmt.Errorf("triangle: Partition needs b >= 3, got %d", b)
@@ -172,17 +162,11 @@ type taggedEdge struct {
 	Roles roleMask
 }
 
-// Multiway runs the Section 2.2 algorithm: the cyclic join
+// MultiwayContext runs the Section 2.2 algorithm: the cyclic join
 // E(X,Y) ⋈ E(Y,Z) ⋈ E(X,Z) over the id-ordered edge relation, with shares
 // (b, b, b). Each edge reaches exactly 3b−2 distinct reducers (the paper's
-// footnote-1 dedup is performed, merging the coinciding role copies).
-func Multiway(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) (Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use MultiwayContext
-	return MultiwayContext(context.Background(), g, b, seed, cfg, nil)
-}
-
-// MultiwayContext is Multiway under a context and an optional streaming
-// sink; see PartitionContext for the contract.
+// footnote-1 dedup is performed, merging the coinciding role copies). See
+// PartitionContext for the sink contract.
 func MultiwayContext(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error) {
 	if b < 1 {
 		return Result{}, fmt.Errorf("triangle: Multiway needs b >= 1, got %d", b)
@@ -262,17 +246,11 @@ func multiwayMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, triple
 	}
 }
 
-// BucketOrdered runs the Section 2.3 algorithm: nodes are ordered by
-// (bucket, id); reducers are the nondecreasing bucket triples; each edge is
-// shipped to exactly b reducers; the triangle (u ≺ v ≺ w) is owned by the
-// reducer of its sorted bucket triple.
-func BucketOrdered(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) (Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use BucketOrderedContext
-	return BucketOrderedContext(context.Background(), g, b, seed, cfg, nil)
-}
-
-// BucketOrderedContext is BucketOrdered under a context and an optional
-// streaming sink; see PartitionContext for the contract.
+// BucketOrderedContext runs the Section 2.3 algorithm: nodes are ordered
+// by (bucket, id); reducers are the nondecreasing bucket triples; each
+// edge is shipped to exactly b reducers; the triangle (u ≺ v ≺ w) is owned
+// by the reducer of its sorted bucket triple. See PartitionContext for the
+// sink contract.
 func BucketOrderedContext(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error) {
 	if b < 1 {
 		return Result{}, fmt.Errorf("triangle: BucketOrdered needs b >= 1, got %d", b)

@@ -1,6 +1,7 @@
 package triangle
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,18 +11,47 @@ import (
 	"subgraphmr/internal/serial"
 )
 
+// entry is the shape of the three algorithms' streaming entry points.
+type entry func(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error)
+
+// collect runs one algorithm at seed 7 with a collecting sink.
+func collect(run entry, g *graph.Graph, b int) (Result, [][3]graph.Node, error) {
+	var tris [][3]graph.Node
+	res, err := run(context.Background(), g, b, 7, mapreduce.Config{}, func(t [3]graph.Node) bool {
+		tris = append(tris, t)
+		return true
+	})
+	return res, tris, err
+}
+
+// runPartition, runMultiway and runBucketOrdered run one algorithm at seed
+// 7 and return its metrics.
+func runPartition(g *graph.Graph, b int) (Result, error) {
+	res, _, err := collect(PartitionContext, g, b)
+	return res, err
+}
+
+func runMultiway(g *graph.Graph, b int) (Result, error) {
+	res, _, err := collect(MultiwayContext, g, b)
+	return res, err
+}
+
+func runBucketOrdered(g *graph.Graph, b int) (Result, error) {
+	res, _, err := collect(BucketOrderedContext, g, b)
+	return res, err
+}
+
 type algo struct {
 	name string
-	run  func(g *graph.Graph, b int) (Result, error)
+	run  entry
 	minB int
 }
 
 func algos() []algo {
-	cfg := mapreduce.Config{}
 	return []algo{
-		{"partition", func(g *graph.Graph, b int) (Result, error) { return Partition(g, b, 7, cfg) }, 3},
-		{"multiway", func(g *graph.Graph, b int) (Result, error) { return Multiway(g, b, 7, cfg) }, 1},
-		{"bucketordered", func(g *graph.Graph, b int) (Result, error) { return BucketOrdered(g, b, 7, cfg) }, 1},
+		{"partition", PartitionContext, 3},
+		{"multiway", MultiwayContext, 1},
+		{"bucketordered", BucketOrderedContext, 1},
 	}
 }
 
@@ -46,12 +76,15 @@ func TestAllAlgorithmsExactlyOnce(t *testing.T) {
 				if b < al.minB {
 					continue
 				}
-				res, err := al.run(g, b)
+				res, tris, err := collect(al.run, g, b)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if res.Metrics.Outputs != int64(len(tris)) {
+					t.Fatalf("%s b=%d: Outputs %d, sink saw %d", al.name, b, res.Metrics.Outputs, len(tris))
+				}
 				got := map[string]bool{}
-				for _, tr := range res.Triangles {
+				for _, tr := range tris {
 					k := tri.Key([]graph.Node{tr[0], tr[1], tr[2]})
 					if got[k] {
 						t.Fatalf("%s b=%d: duplicate triangle %v", al.name, b, tr)
@@ -79,14 +112,14 @@ func TestCommunicationExact(t *testing.T) {
 	g := graph.Gnm(60, 400, 5)
 	m := int64(g.NumEdges())
 	for _, b := range []int{3, 5, 10} {
-		res, err := Multiway(g, b, 7, mapreduce.Config{})
+		res, err := runMultiway(g, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := m * int64(3*b-2); res.Metrics.KeyValuePairs != want {
 			t.Errorf("multiway b=%d: comm %d, want %d", b, res.Metrics.KeyValuePairs, want)
 		}
-		res, err = BucketOrdered(g, b, 7, mapreduce.Config{})
+		res, err = runBucketOrdered(g, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +127,7 @@ func TestCommunicationExact(t *testing.T) {
 			t.Errorf("bucketordered b=%d: comm %d, want %d", b, res.Metrics.KeyValuePairs, want)
 		}
 
-		res, err = Partition(g, b, 7, mapreduce.Config{})
+		res, err = runPartition(g, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,15 +156,15 @@ func TestCommunicationExact(t *testing.T) {
 func TestReducerCounts(t *testing.T) {
 	dense := graph.CompleteGraph(40)
 	b := 4
-	res, _ := Partition(dense, b, 7, mapreduce.Config{})
+	res, _ := runPartition(dense, b)
 	if res.Metrics.DistinctKeys != PartitionReducers(b) {
 		t.Errorf("partition reducers = %d, want %d", res.Metrics.DistinctKeys, PartitionReducers(b))
 	}
-	res, _ = Multiway(dense, b, 7, mapreduce.Config{})
+	res, _ = runMultiway(dense, b)
 	if res.Metrics.DistinctKeys > MultiwayReducers(b) {
 		t.Errorf("multiway reducers = %d > %d", res.Metrics.DistinctKeys, MultiwayReducers(b))
 	}
-	res, _ = BucketOrdered(dense, b, 7, mapreduce.Config{})
+	res, _ = runBucketOrdered(dense, b)
 	if res.Metrics.DistinctKeys != BucketOrderedReducers(b) {
 		t.Errorf("bucketordered reducers = %d, want %d", res.Metrics.DistinctKeys, BucketOrderedReducers(b))
 	}
@@ -193,7 +226,7 @@ func TestConvertibility(t *testing.T) {
 	g := graph.Gnm(300, 2500, 11)
 	serialWork := serial.Triangles(g, func(_, _, _ graph.Node) {})
 	for _, b := range []int{2, 4, 8} {
-		res, err := BucketOrdered(g, b, 7, mapreduce.Config{})
+		res, err := runBucketOrdered(g, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +242,7 @@ func TestConvertibility(t *testing.T) {
 // input (the "curse of the last reducer" metric).
 func TestSkewReporting(t *testing.T) {
 	g := graph.PowerLaw(300, 10, 2.1, 9)
-	res, err := BucketOrdered(g, 6, 7, mapreduce.Config{})
+	res, err := runBucketOrdered(g, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +257,13 @@ func TestSkewReporting(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	g := graph.CompleteGraph(4)
-	if _, err := Partition(g, 2, 7, mapreduce.Config{}); err == nil {
+	if _, err := runPartition(g, 2); err == nil {
 		t.Error("Partition with b=2 should fail")
 	}
-	if _, err := Multiway(g, 0, 7, mapreduce.Config{}); err == nil {
+	if _, err := runMultiway(g, 0); err == nil {
 		t.Error("Multiway with b=0 should fail")
 	}
-	if _, err := BucketOrdered(g, 0, 7, mapreduce.Config{}); err == nil {
+	if _, err := runBucketOrdered(g, 0); err == nil {
 		t.Error("BucketOrdered with b=0 should fail")
 	}
 }
@@ -243,9 +276,9 @@ func TestBucketOrderedBeatsOthersMeasured(t *testing.T) {
 	bPart := BucketsForReducers(k, PartitionReducers)       // 12
 	bMulti := BucketsForReducers(k, MultiwayReducers)       // 6
 	bBucket := BucketsForReducers(k, BucketOrderedReducers) // 10
-	rp, _ := Partition(g, bPart, 7, mapreduce.Config{})
-	rm, _ := Multiway(g, bMulti, 7, mapreduce.Config{})
-	rb, _ := BucketOrdered(g, bBucket, 7, mapreduce.Config{})
+	rp, _ := runPartition(g, bPart)
+	rm, _ := runMultiway(g, bMulti)
+	rb, _ := runBucketOrdered(g, bBucket)
 	if !(rb.Metrics.KeyValuePairs < rp.Metrics.KeyValuePairs) {
 		t.Errorf("bucketordered %d should beat partition %d",
 			rb.Metrics.KeyValuePairs, rp.Metrics.KeyValuePairs)

@@ -1,6 +1,7 @@
 package tworound
 
 import (
+	"context"
 	"testing"
 
 	"subgraphmr/internal/graph"
@@ -10,6 +11,21 @@ import (
 	"subgraphmr/internal/triangle"
 )
 
+// triangles runs the cascade with a collecting sink.
+func triangles(g *graph.Graph) (Result, [][3]graph.Node) {
+	var tris [][3]graph.Node
+	res, err := TrianglesHookContext(context.Background(), g, mapreduce.Config{}, func(t [3]graph.Node) bool {
+		tris = append(tris, t)
+		return true
+	}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return res, tris
+}
+
+func totalComm(r Result) int64 { return r.Round1.KeyValuePairs + r.Round2.KeyValuePairs }
+
 func TestCascadeMatchesSerial(t *testing.T) {
 	tri := sample.Triangle()
 	for seed := int64(0); seed < 3; seed++ {
@@ -18,9 +34,12 @@ func TestCascadeMatchesSerial(t *testing.T) {
 		serial.Triangles(g, func(a, b, c graph.Node) {
 			want[tri.Key([]graph.Node{a, b, c})] = true
 		})
-		res := Triangles(g, mapreduce.Config{})
+		res, tris := triangles(g)
+		if res.Round2.Outputs != int64(len(tris)) {
+			t.Fatalf("seed %d: Outputs %d, sink saw %d", seed, res.Round2.Outputs, len(tris))
+		}
 		got := map[string]bool{}
-		for _, tr := range res.Triangles {
+		for _, tr := range tris {
 			k := tri.Key([]graph.Node{tr[0], tr[1], tr[2]})
 			if got[k] {
 				t.Fatalf("seed %d: duplicate triangle %v", seed, tr)
@@ -35,7 +54,7 @@ func TestCascadeMatchesSerial(t *testing.T) {
 
 func TestCascadeCommunicationAccounting(t *testing.T) {
 	g := graph.Gnm(50, 220, 4)
-	res := Triangles(g, mapreduce.Config{})
+	res, _ := triangles(g)
 	m := int64(g.NumEdges())
 	// Round 1 ships every edge twice.
 	if res.Round1.KeyValuePairs != 2*m {
@@ -49,8 +68,8 @@ func TestCascadeCommunicationAccounting(t *testing.T) {
 	if res.Round2.KeyValuePairs != res.Wedges+m {
 		t.Errorf("round 2 comm = %d, want %d", res.Round2.KeyValuePairs, res.Wedges+m)
 	}
-	if res.TotalComm() != 3*m+res.Wedges {
-		t.Errorf("total = %d, want %d", res.TotalComm(), 3*m+res.Wedges)
+	if totalComm(res) != 3*m+res.Wedges {
+		t.Errorf("total = %d, want %d", totalComm(res), 3*m+res.Wedges)
 	}
 }
 
@@ -71,20 +90,21 @@ func TestCascadeLosesOnSkew(t *testing.T) {
 		}
 	}
 	g := b.Graph()
-	cascade := Triangles(g, mapreduce.Config{})
-	oneRound, err := triangle.BucketOrdered(g, 10, 7, mapreduce.Config{})
+	cascade, tris := triangles(g)
+	oneRound, err := triangle.BucketOrderedContext(context.Background(), g, 10, 7, mapreduce.Config{},
+		func([3]graph.Node) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cascade.Count() != oneRound.Count() {
-		t.Fatalf("counts differ: cascade %d, one-round %d", cascade.Count(), oneRound.Count())
+	if int64(len(tris)) != oneRound.Metrics.Outputs {
+		t.Fatalf("counts differ: cascade %d, one-round %d", len(tris), oneRound.Metrics.Outputs)
 	}
-	if cascade.TotalComm() <= oneRound.Metrics.KeyValuePairs {
+	if totalComm(cascade) <= oneRound.Metrics.KeyValuePairs {
 		t.Errorf("expected cascade comm %d to exceed one-round comm %d on a skewed graph",
-			cascade.TotalComm(), oneRound.Metrics.KeyValuePairs)
+			totalComm(cascade), oneRound.Metrics.KeyValuePairs)
 	}
 	t.Logf("cascade comm=%d (wedges %d) vs one-round b=10 comm=%d",
-		cascade.TotalComm(), cascade.Wedges, oneRound.Metrics.KeyValuePairs)
+		totalComm(cascade), cascade.Wedges, oneRound.Metrics.KeyValuePairs)
 }
 
 func TestWedgeCountStar(t *testing.T) {
@@ -102,8 +122,8 @@ func TestWedgeCountStar(t *testing.T) {
 
 func TestCascadeEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(5, nil)
-	res := Triangles(g, mapreduce.Config{})
-	if res.Count() != 0 || res.TotalComm() != 0 {
+	res, tris := triangles(g)
+	if len(tris) != 0 || totalComm(res) != 0 {
 		t.Errorf("empty graph: %+v", res)
 	}
 }

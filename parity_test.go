@@ -10,6 +10,7 @@ import (
 
 	"subgraphmr/internal/core"
 	"subgraphmr/internal/directed"
+	"subgraphmr/internal/mapreduce"
 )
 
 // execOptionFields is the execution option set every path must expose:
@@ -27,20 +28,28 @@ var execOptionFields = map[string]reflect.Type{
 }
 
 // TestOptionStructParity asserts, at the type level, that every remaining
-// options struct carries the full execution option set with matching
-// types, so a knob added to one cannot silently miss the others.
+// options set carries the full execution option set with matching types,
+// so a knob added to one cannot silently miss the others. internal/core
+// takes its engine knobs as a mapreduce.Config next to core.Options, so
+// its set is the union of the two structs.
 func TestOptionStructParity(t *testing.T) {
-	for name, typ := range map[string]reflect.Type{
-		"core.Options":     reflect.TypeOf(core.Options{}),
-		"directed.Options": reflect.TypeOf(directed.Options{}),
-		"planOpts":         reflect.TypeOf(planOpts{}),
+	for name, typs := range map[string][]reflect.Type{
+		"core.Options+mapreduce.Config": {reflect.TypeOf(core.Options{}), reflect.TypeOf(mapreduce.Config{})},
+		"directed.Options":              {reflect.TypeOf(directed.Options{})},
+		"planOpts":                      {reflect.TypeOf(planOpts{})},
 	} {
 		for field, want := range execOptionFields {
 			if name == "planOpts" {
 				// The functional-options struct uses unexported names.
 				field = lowerFirst(field)
 			}
-			f, ok := typ.FieldByName(field)
+			var f reflect.StructField
+			ok := false
+			for _, typ := range typs {
+				if f, ok = typ.FieldByName(field); ok {
+					break
+				}
+			}
 			if !ok {
 				t.Errorf("%s lacks execution option %s", name, field)
 				continue

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"subgraphmr/internal/cq"
-	"subgraphmr/internal/cycles"
+	"subgraphmr/internal/core"
 	"subgraphmr/internal/shares"
 	"subgraphmr/internal/triangle"
 	"subgraphmr/internal/tworound"
@@ -152,27 +151,21 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	if o.buckets > shares.MaxIntShare {
 		return nil, fmt.Errorf("subgraphmr: bucket count %d exceeds %d", o.buckets, shares.MaxIntShare)
 	}
-	p := s.P()
-	qs, err := planCQs(s, o)
+	qs, err := core.CompileCQs(s, o.cycleCQs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("subgraphmr: WithCycleCQs: %w", err)
 	}
-	m := int64(g.NumEdges())
-
-	cands := []Candidate{
-		bucketCandidate(StrategyBucketOriented, p, m, o),
-		variableCandidate(p, m, qs, o),
-		cqCandidate(p, m, qs, o),
-		bucketCandidate(StrategyDecomposed, p, m, o),
-		triangleCandidate(StrategyTriangleBucketOrdered, s, m, o),
-		triangleCandidate(StrategyTrianglePartition, s, m, o),
-		triangleCandidate(StrategyTriangleMultiway, s, m, o),
-		twoRoundCandidate(g, s, m),
+	q := &planQuery{g: g, s: s, qs: qs, m: int64(g.NumEdges()), o: o}
+	var cands []Candidate
+	for i := range strategyTable {
+		if d := &strategyTable[i]; d.price != nil {
+			cands = append(cands, d.price(d, q))
+		}
 	}
 
 	var probes []LoadProbe
 	if o.adaptive {
-		probes = probeCandidates(g, s, qs, cands, o)
+		probes = probeCandidates(q, cands)
 	}
 
 	cost := func(c Candidate) int64 {
@@ -237,22 +230,15 @@ func (p *QueryPlan) Graph() *Graph { return p.graph }
 // Sample returns the sample graph the plan was built for.
 func (p *QueryPlan) Sample() *Sample { return p.sample }
 
-// planCQs compiles the CQ set the share-based candidates are costed on —
-// the Section 5 generator when WithCycleCQs is set, otherwise the general
-// Section 3 pipeline. Mirrors core's CQ construction so plan estimates
-// match execution.
-func planCQs(s *Sample, o planOpts) ([]*CQ, error) {
-	if o.cycleCQs {
-		if d, reg := s.IsRegular(); !reg || d != 2 {
-			return nil, fmt.Errorf("subgraphmr: WithCycleCQs requires a cycle sample, got %v", s)
-		}
-		var qs []*CQ
-		for _, c := range cycles.Generate(s.P()) {
-			qs = append(qs, c.CQ)
-		}
-		return qs, nil
-	}
-	return cq.MergeByOrientation(cq.GenerateForSample(s)), nil
+// planQuery is what a strategy's pricer sees: the query, its compiled CQ
+// set (the one core.CompileCQs builds for execution too, so estimates match
+// the executed jobs), |E| and the resolved options.
+type planQuery struct {
+	g  *Graph
+	s  *Sample
+	qs []*CQ
+	m  int64
+	o  planOpts
 }
 
 // resolveBuckets picks the bucket count for bucket-style strategies: the
@@ -276,10 +262,11 @@ func finishCandidate(c Candidate, m int64) Candidate {
 // Theorem 6.1 decomposed conversion, which ships edges identically — it
 // differs only in reducer-side algorithm, so it never beats bucket on
 // communication and Auto prefers bucket by order).
-func bucketCandidate(st PlanStrategy, p int, m int64, o planOpts) Candidate {
-	b := resolveBuckets(p, o)
+func bucketCandidate(d *strategyDef, q *planQuery) Candidate {
+	p := q.s.P()
+	b := resolveBuckets(p, q.o)
 	return finishCandidate(Candidate{
-		Strategy:    st,
+		Strategy:    d.st,
 		Viable:      true,
 		Buckets:     b,
 		Shares:      uniformIntShares(p, b),
@@ -287,24 +274,24 @@ func bucketCandidate(st PlanStrategy, p int, m int64, o planOpts) Candidate {
 		Rounds:      1,
 		Reducers:    int64(shares.UsefulReducers(b, p)),
 		CommPerEdge: shares.BucketEdgeReplication(b, p),
-	}, m)
+	}, q.m)
 }
 
 // variableCandidate costs the Section 4.3 variable-oriented strategy at
 // the integer shares execution will actually use. Shares the engine cannot
 // encode (over shares.MaxIntShare) make the candidate non-viable here, at
 // plan time — Run would otherwise reject the same shares mid-execution.
-func variableCandidate(p int, m int64, qs []*CQ, o planOpts) Candidate {
-	k := float64(o.targetReducers)
-	model := shares.VariableOrientedModel(p, qs)
+func variableCandidate(d *strategyDef, q *planQuery) Candidate {
+	p, k := q.s.P(), float64(q.o.targetReducers)
+	model := shares.VariableOrientedModel(p, q.qs)
 	sol, err := model.Solve(k)
 	if err != nil {
-		return Candidate{Strategy: StrategyVariableOriented, Reason: err.Error()}
+		return Candidate{Strategy: d.st, Reason: err.Error()}
 	}
 	intShares := model.RoundShares(sol.Shares, k)
 	if mx := shares.MaxShare(intShares); mx > shares.MaxIntShare {
 		return Candidate{
-			Strategy: StrategyVariableOriented,
+			Strategy: d.st,
 			Reason:   fmt.Sprintf("share %d exceeds the engine limit %d (lower TargetReducers)", mx, shares.MaxIntShare),
 		}
 	}
@@ -315,37 +302,37 @@ func variableCandidate(p int, m int64, qs []*CQ, o planOpts) Candidate {
 		reducers *= int64(sh)
 	}
 	return finishCandidate(Candidate{
-		Strategy:    StrategyVariableOriented,
+		Strategy:    d.st,
 		Viable:      true,
 		Shares:      intShares,
 		Jobs:        1,
 		Rounds:      1,
 		Reducers:    reducers,
 		CommPerEdge: model.CostPerEdge(fs),
-	}, m)
+	}, q.m)
 }
 
 // cqCandidate costs the Section 4.1 strategy: one job per merged CQ, each
 // with its own optimized shares; the total cost is the sum over jobs. Any
 // job whose shares exceed the engine limit rules the candidate out at plan
 // time (Run would reject those shares mid-sequence otherwise).
-func cqCandidate(p int, m int64, qs []*CQ, o planOpts) Candidate {
-	k := float64(o.targetReducers)
+func cqCandidate(d *strategyDef, q *planQuery) Candidate {
+	p, k := q.s.P(), float64(q.o.targetReducers)
 	var (
 		jobShares [][]int
 		reducers  int64
 		comm      float64
 	)
-	for _, q := range qs {
-		model := shares.ModelFromCQ(q)
+	for _, cq := range q.qs {
+		model := shares.ModelFromCQ(cq)
 		sol, err := model.Solve(k)
 		if err != nil {
-			return Candidate{Strategy: StrategyCQOriented, Reason: err.Error()}
+			return Candidate{Strategy: d.st, Reason: err.Error()}
 		}
 		intShares := model.RoundShares(sol.Shares, k)
 		if mx := shares.MaxShare(intShares); mx > shares.MaxIntShare {
 			return Candidate{
-				Strategy: StrategyCQOriented,
+				Strategy: d.st,
 				Reason:   fmt.Sprintf("share %d exceeds the engine limit %d (lower TargetReducers)", mx, shares.MaxIntShare),
 			}
 		}
@@ -360,69 +347,39 @@ func cqCandidate(p int, m int64, qs []*CQ, o planOpts) Candidate {
 		comm += model.CostPerEdge(fs)
 	}
 	return finishCandidate(Candidate{
-		Strategy:    StrategyCQOriented,
+		Strategy:    d.st,
 		Viable:      true,
 		JobShares:   jobShares,
-		Jobs:        len(qs),
+		Jobs:        len(q.qs),
 		Rounds:      1,
 		Reducers:    reducers,
 		CommPerEdge: comm,
-	}, m)
+	}, q.m)
 }
 
-// triangleCandidate costs the three Section 2 triangle algorithms using
-// their exact closed forms; non-triangle samples rule them out.
-func triangleCandidate(st PlanStrategy, s *Sample, m int64, o planOpts) Candidate {
-	if !isTriangleSample(s) {
-		return Candidate{Strategy: st, Reason: "triangle algorithms require the triangle sample"}
+// triangleCandidate costs a Section 2 triangle algorithm with its exact
+// closed forms; non-triangle samples rule it out.
+func triangleCandidate(d *strategyDef, q *planQuery) Candidate {
+	if !isTriangleSample(q.s) {
+		return Candidate{Strategy: d.st, Reason: "triangle algorithms require the triangle sample"}
 	}
-	k := int64(o.targetReducers)
-	var (
-		b        int
-		comm     float64
-		reducers int64
-	)
-	switch st {
-	case StrategyTrianglePartition:
-		b = triangle.BucketsForReducers(k, triangle.PartitionReducers)
-		if b < 3 {
-			b = 3
-		}
-		comm = triangle.PartitionCommPerEdge(b)
-		reducers = triangle.PartitionReducers(b)
-	case StrategyTriangleMultiway:
-		b = triangle.BucketsForReducers(k, triangle.MultiwayReducers)
-		comm = triangle.MultiwayCommPerEdge(b)
-		reducers = triangle.MultiwayReducers(b)
-	case StrategyTriangleBucketOrdered:
-		b = triangle.BucketsForReducers(k, triangle.BucketOrderedReducers)
-		comm = triangle.BucketOrderedCommPerEdge(b)
-		reducers = triangle.BucketOrderedReducers(b)
-	}
-	if o.buckets > 0 {
-		b = o.buckets
-		switch st {
-		case StrategyTrianglePartition:
-			if b < 3 {
-				return Candidate{Strategy: st, Reason: fmt.Sprintf("Partition needs b >= 3, got %d", b)}
-			}
-			comm, reducers = triangle.PartitionCommPerEdge(b), triangle.PartitionReducers(b)
-		case StrategyTriangleMultiway:
-			comm, reducers = triangle.MultiwayCommPerEdge(b), triangle.MultiwayReducers(b)
-		case StrategyTriangleBucketOrdered:
-			comm, reducers = triangle.BucketOrderedCommPerEdge(b), triangle.BucketOrderedReducers(b)
-		}
+	t := d.tri
+	b := q.o.buckets
+	if b <= 0 {
+		b = max(triangle.BucketsForReducers(int64(q.o.targetReducers), t.reducers), t.minB)
+	} else if b < t.minB {
+		return Candidate{Strategy: d.st, Reason: fmt.Sprintf("%v needs b >= %d, got %d", d.st, t.minB, b)}
 	}
 	return finishCandidate(Candidate{
-		Strategy:    st,
+		Strategy:    d.st,
 		Viable:      true,
 		Buckets:     b,
 		Shares:      uniformIntShares(3, b),
 		Jobs:        1,
 		Rounds:      1,
-		Reducers:    reducers,
-		CommPerEdge: comm,
-	}, m)
+		Reducers:    t.reducers(b),
+		CommPerEdge: t.comm(b),
+	}, q.m)
 }
 
 // twoRoundCandidate costs the cascade baseline from the data graph itself:
@@ -433,13 +390,14 @@ func triangleCandidate(st PlanStrategy, s *Sample, m int64, o planOpts) Candidat
 // round-tripping it through the per-edge float (as finishCandidate does for
 // the model-priced candidates) loses ulps on large graphs and could flip
 // Auto tie-breaks; CommPerEdge is derived for display instead.
-func twoRoundCandidate(g *Graph, s *Sample, m int64) Candidate {
-	if !isTriangleSample(s) {
-		return Candidate{Strategy: StrategyTwoRound, Reason: "the two-round cascade supports the triangle sample only"}
+func twoRoundCandidate(d *strategyDef, q *planQuery) Candidate {
+	if !isTriangleSample(q.s) {
+		return Candidate{Strategy: d.st, Reason: "the two-round cascade supports the triangle sample only"}
 	}
+	g, m := q.g, q.m
 	w := tworound.WedgeCount(g)
 	c := Candidate{
-		Strategy: StrategyTwoRound,
+		Strategy: d.st,
 		Viable:   true,
 		Jobs:     2,
 		Rounds:   2,

@@ -6,7 +6,6 @@ import (
 	"iter"
 
 	"subgraphmr/internal/core"
-	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/triangle"
 	"subgraphmr/internal/tworound"
@@ -15,42 +14,30 @@ import (
 // Run executes a plan and materializes its result: every instance of the
 // plan's sample in its data graph, exactly once, plus unified per-job
 // statistics — the same Result shape for all strategies, triangle
-// algorithms and the two-round cascade included. Cancelling ctx aborts the
-// running jobs (engine workers wind down, spill runs are removed) and
-// returns ctx.Err(). Under WithCountOnly, Result.Instances stays nil and
-// Result.Count is still exact.
+// algorithms and the two-round cascade included. Run is Stream with a
+// sink that collects the instances (or, under WithCountOnly, only counts
+// them, leaving Result.Instances nil), so both report identical metrics
+// wherever the plan executes. Cancelling ctx aborts the running jobs
+// (engine workers wind down, spill runs are removed) and returns
+// ctx.Err().
 func Run(ctx context.Context, p *QueryPlan) (*Result, error) {
 	if err := checkRunnable(ctx, p); err != nil {
 		return nil, err
 	}
-	if p.opts.isDistributed() {
-		return runDistributed(ctx, p, nil)
+	var instances [][]Node
+	sink := func(phi []Node) bool {
+		instances = append(instances, phi)
+		return true
 	}
-	return runLocalRun(ctx, p)
-}
-
-// runLocalRun is Run's in-process execution path (also the coordinator's
-// full-plan fallback when no worker is reachable).
-func runLocalRun(ctx context.Context, p *QueryPlan) (*Result, error) {
-	// The triangle algorithms and the cascade have no reducer-side counter:
-	// WithCountOnly runs them with a counting sink instead (Result.Count is
-	// Metrics.Outputs — the accepted deliveries — either way).
-	countingSink := func([3]Node) bool { return true }
-	switch p.Strategy {
-	case StrategyBucketOriented, StrategyVariableOriented, StrategyCQOriented, StrategyDecomposed:
-		return runCore(ctx, p, nil)
-	case StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered:
-		if p.opts.countOnly {
-			return runTriangle(ctx, p, countingSink)
-		}
-		return runTriangle(ctx, p, nil)
-	case StrategyTwoRound:
-		if p.opts.countOnly {
-			return runTwoRound(ctx, p, countingSink)
-		}
-		return runTwoRound(ctx, p, nil)
+	if p.opts.countOnly {
+		sink = func([]Node) bool { return true }
 	}
-	return nil, fmt.Errorf("subgraphmr: cannot run strategy %v", p.Strategy)
+	res, err := Stream(ctx, p, sink)
+	if err != nil {
+		return nil, err
+	}
+	res.Instances = instances
+	return res, nil
 }
 
 // Stream executes a plan, delivering each instance to yield instead of
@@ -74,24 +61,19 @@ func Stream(ctx context.Context, p *QueryPlan, yield func([]Node) bool) (*Result
 	if p.opts.isDistributed() {
 		return runDistributed(ctx, p, yield)
 	}
-	return runLocalStream(ctx, p, yield)
+	return runLocal(ctx, p, yield)
 }
 
-// runLocalStream is Stream's in-process execution path. It is also how a
-// distributed worker executes its job (with planOpts.dist set, so every
-// strategy's engine rounds filter to the owned key-space slices) and how
-// the coordinator degrades unfinished partitions to local execution.
-func runLocalStream(ctx context.Context, p *QueryPlan, yield func([]Node) bool) (*Result, error) {
-	adapter := func(t [3]Node) bool { return yield([]Node{t[0], t[1], t[2]}) }
-	switch p.Strategy {
-	case StrategyBucketOriented, StrategyVariableOriented, StrategyCQOriented, StrategyDecomposed:
-		return runCore(ctx, p, yield)
-	case StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered:
-		return runTriangle(ctx, p, adapter)
-	case StrategyTwoRound:
-		return runTwoRound(ctx, p, adapter)
+// runLocal executes a plan in-process through its strategy's executor. It
+// is also how a distributed worker executes its job (with planOpts.dist
+// set, so every strategy's engine rounds filter to the owned key-space
+// slices) and how the coordinator degrades to local execution.
+func runLocal(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
+	d := lookup(p.Strategy)
+	if d == nil || d.run == nil {
+		return nil, fmt.Errorf("subgraphmr: cannot run strategy %v", p.Strategy)
 	}
-	return nil, fmt.Errorf("subgraphmr: cannot run strategy %v", p.Strategy)
+	return d.run(ctx, d, p, sink)
 }
 
 // Instances executes a plan as a streaming iterator: instances are
@@ -155,75 +137,49 @@ func checkRunnable(ctx context.Context, p *QueryPlan) error {
 	return nil
 }
 
-// runCore executes the CQ-based strategies and the decomposed conversion
-// through internal/core, at exactly the bucket/share configuration the
-// plan predicts.
-func runCore(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
-	var (
-		res *core.Result
-		err error
-	)
-	switch p.Strategy {
-	case StrategyDecomposed:
-		opt := p.opts.coreOptions(core.BucketOriented, p.Chosen.Buckets)
-		if sink == nil {
-			res, err = core.EnumerateDecomposedContext(ctx, p.graph, p.sample, nil, opt)
-		} else {
-			// Streaming always delivers: CountOnly would route matches to
-			// the reducer-side counter instead of the sink.
-			opt.CountOnly = false
-			res, err = core.EnumerateDecomposedStream(ctx, p.graph, p.sample, nil, opt, sink)
-		}
-	default:
-		var st core.Strategy
-		buckets := 0
-		switch p.Strategy {
-		case StrategyBucketOriented:
-			st, buckets = core.BucketOriented, p.Chosen.Buckets
-		case StrategyVariableOriented:
-			st = core.VariableOriented
-		case StrategyCQOriented:
-			st = core.CQOriented
-		}
-		opt := p.opts.coreOptions(st, buckets)
-		if sink == nil {
-			res, err = core.EnumerateContext(ctx, p.graph, p.sample, opt)
-		} else {
-			opt.CountOnly = false
-			res, err = core.EnumerateStream(ctx, p.graph, p.sample, opt, sink)
-		}
+// coreOptions hands internal/core the plan's resolved configuration: the
+// chosen bucket count (0 for the share-based strategies, which optimize
+// shares for the reducer budget instead), the budget itself and the
+// adaptive re-planning knobs.
+func (p *QueryPlan) coreOptions(st core.Strategy) core.Options {
+	return core.Options{
+		Strategy:       st,
+		TargetReducers: p.opts.targetReducers,
+		Buckets:        p.Chosen.Buckets,
+		UseCycleCQs:    p.opts.cycleCQs,
+		Seed:           p.opts.seed,
+		AdaptiveReplan: p.opts.adaptive,
+		SkewThreshold:  p.opts.resolvedSkewThreshold(),
 	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+}
+
+// runCore executes a CQ-based strategy through internal/core at exactly
+// the bucket/share configuration the plan predicts.
+func runCore(ctx context.Context, d *strategyDef, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
+	return core.EnumerateStream(ctx, p.graph, p.sample, p.coreOptions(d.coreStrategy), p.opts.engineConfig(), sink)
+}
+
+// runDecomposed executes the Theorem 6.1 conversion with the optimal
+// decomposition at the plan's bucket count.
+func runDecomposed(ctx context.Context, _ *strategyDef, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
+	return core.EnumerateDecomposedStream(ctx, p.graph, p.sample, nil, p.coreOptions(core.BucketOriented), p.opts.engineConfig(), sink)
+}
+
+// tripleSink adapts an instance sink to the node triples the triangle
+// algorithms emit.
+func tripleSink(sink func([]Node) bool) func([3]Node) bool {
+	return func(t [3]Node) bool { return sink([]Node{t[0], t[1], t[2]}) }
 }
 
 // runTriangle executes one of the Section 2 triangle algorithms and adapts
 // its result into the unified Result shape.
-func runTriangle(ctx context.Context, p *QueryPlan, sink func([3]Node) bool) (*Result, error) {
-	b := p.Chosen.Buckets
-	cfg := p.opts.engineConfig()
-	var (
-		tr  triangle.Result
-		err error
-	)
-	switch p.Strategy {
-	case StrategyTrianglePartition:
-		tr, err = triangle.PartitionContext(ctx, p.graph, b, p.opts.seed, cfg, sink)
-	case StrategyTriangleMultiway:
-		tr, err = triangle.MultiwayContext(ctx, p.graph, b, p.opts.seed, cfg, sink)
-	case StrategyTriangleBucketOrdered:
-		tr, err = triangle.BucketOrderedContext(ctx, p.graph, b, p.opts.seed, cfg, sink)
-	}
+func runTriangle(ctx context.Context, d *strategyDef, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
+	tr, err := d.tri.run(ctx, p.graph, p.Chosen.Buckets, p.opts.seed, p.opts.engineConfig(), tripleSink(sink))
 	if err != nil {
 		return nil, err
 	}
-	// Metrics.Outputs counts accepted deliveries in both modes (the
-	// materializing path accepts every triangle), so it is Count either way.
 	return &Result{
-		Instances: triplesToInstances(tr.Triangles),
-		Count:     tr.Metrics.Outputs,
+		Count: tr.Metrics.Outputs,
 		Jobs: []JobStats{{
 			Label:                fmt.Sprintf("%v b=%d", p.Strategy, tr.Buckets),
 			Shares:               uniformIntShares(3, tr.Buckets),
@@ -242,7 +198,7 @@ func runTriangle(ctx context.Context, p *QueryPlan, sink func([3]Node) bool) (*R
 // round 2 in favor of the one-round bucket-ordered algorithm at the plan's
 // probed configuration — the remaining work re-planned at the cheapest
 // observable point, before the wedge relation is shipped again.
-func runTwoRound(ctx context.Context, p *QueryPlan, sink func([3]Node) bool) (*Result, error) {
+func runTwoRound(ctx context.Context, _ *strategyDef, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
 	cfg := p.opts.engineConfig()
 	var afterRound1 func(mapreduce.Metrics, int64) bool
 	if p.opts.adaptive {
@@ -251,14 +207,12 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([3]Node) bool) (*R
 			return round1.Skew() <= threshold
 		}
 	}
-	tr, err := tworound.TrianglesHookContext(ctx, p.graph, cfg, sink, afterRound1)
+	tris := tripleSink(sink)
+	tr, err := tworound.TrianglesHookContext(ctx, p.graph, cfg, tris, afterRound1)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Instances: triplesToInstances(tr.Triangles),
-		Count:     tr.Round2.Outputs, // accepted deliveries in both modes
-	}
+	res := &Result{Count: tr.Round2.Outputs}
 	m := float64(p.graph.NumEdges())
 	for i, round := range tr.Chain.Rounds {
 		predicted := 2.0 // round 1: each edge plays two roles
@@ -282,11 +236,10 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([3]Node) bool) (*R
 	// algorithm instead (identical triangle set; only the configuration
 	// changed). The round-1 stats stay in Jobs so the switch is auditable.
 	b := p.fallbackTriangleBuckets()
-	tb, err := triangle.BucketOrderedContext(ctx, p.graph, b, p.opts.seed, cfg, sink)
+	tb, err := triangle.BucketOrderedContext(ctx, p.graph, b, p.opts.seed, cfg, tris)
 	if err != nil {
 		return nil, err
 	}
-	res.Instances = triplesToInstances(tb.Triangles)
 	res.Count = tb.Metrics.Outputs
 	res.Jobs = append(res.Jobs, JobStats{
 		Label:                fmt.Sprintf("replanned from skew %.2f → %v b=%d", res.Jobs[0].ObservedSkew, StrategyTriangleBucketOrdered, tb.Buckets),
@@ -311,15 +264,4 @@ func (p *QueryPlan) fallbackTriangleBuckets() int {
 		}
 	}
 	return triangle.BucketsForReducers(int64(p.opts.targetReducers), triangle.BucketOrderedReducers)
-}
-
-func triplesToInstances(tris [][3]graph.Node) [][]Node {
-	if tris == nil {
-		return nil
-	}
-	out := make([][]Node, len(tris))
-	for i, t := range tris {
-		out[i] = []Node{t[0], t[1], t[2]}
-	}
-	return out
 }

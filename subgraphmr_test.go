@@ -2,16 +2,28 @@ package subgraphmr
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
+
+// runQuery plans s in g under opts and runs the plan to completion.
+func runQuery(t testing.TB, g *Graph, s *Sample, opts ...Option) *Result {
+	t.Helper()
+	plan, err := Plan(g, s, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestFacadeQuickstart exercises the README quickstart path end to end.
 func TestFacadeQuickstart(t *testing.T) {
 	g := Gnm(30, 120, 1)
-	res, err := Enumerate(g, Triangle(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuery(t, g, Triangle(), WithStrategy(StrategyBucketOriented))
 	if got, want := int64(len(res.Instances)), CountTriangles(g); got != want {
 		t.Fatalf("facade triangles = %d, serial = %d", got, want)
 	}
@@ -78,17 +90,11 @@ func TestFacadeSerialAlgorithms(t *testing.T) {
 func TestFacadeTriangleAlgorithms(t *testing.T) {
 	g := Gnm(30, 130, 3)
 	want := CountTriangles(g)
-	p, err := TrianglePartition(g, 4, 1)
-	if err != nil || p.Count() != want {
-		t.Errorf("partition: %v count %d want %d", err, p.Count(), want)
-	}
-	mw, err := TriangleMultiway(g, 4, 1)
-	if err != nil || mw.Count() != want {
-		t.Errorf("multiway: %v count %d want %d", err, mw.Count(), want)
-	}
-	bo, err := TriangleBucketOrdered(g, 4, 1)
-	if err != nil || bo.Count() != want {
-		t.Errorf("bucketordered: %v count %d want %d", err, bo.Count(), want)
+	for _, st := range []PlanStrategy{StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered} {
+		res := runQuery(t, g, Triangle(), WithStrategy(st), WithBuckets(4), WithSeed(1))
+		if res.Count != want || int64(len(res.Instances)) != want {
+			t.Errorf("%v: count %d (%d instances) want %d", st, res.Count, len(res.Instances), want)
+		}
 	}
 }
 
@@ -139,10 +145,7 @@ func TestFacadeBarabasiAlbert(t *testing.T) {
 	if g.NumEdges() != 3+(300-3)*2 {
 		t.Errorf("BA edges = %d", g.NumEdges())
 	}
-	res, err := Enumerate(g, Triangle(), Options{Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runQuery(t, g, Triangle(), WithStrategy(StrategyBucketOriented), WithBuckets(4))
 	if int64(len(res.Instances)) != CountTriangles(g) {
 		t.Error("BA graph enumeration mismatch")
 	}
