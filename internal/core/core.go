@@ -239,16 +239,17 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 		return nil, err
 	}
 	h := bucketHash(opt.Seed, b)
-	less := graph.HashLess(h)
+	bucketOf := func(u graph.Node) uint32 { return uint32(h.Bucket(u)) }
 
 	mapper := bucketEdgeMapper(h, p, b)
 	evals := cq.NewEvaluatorSet(qs) // compiled once per job, shared by all reducers
 	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
-		local := graph.SparseFromEdges(edges)
+		// Ranking by (bucket, id) is the Section 2.3 node order.
+		local := graph.RankedFromEdges(edges, bucketOf)
 		instBuckets := make([]int, p)
-		ctx.AddWork(evals.EvaluateAll(local, less, func(phi []graph.Node) {
-			for i, u := range phi {
-				instBuckets[i] = h.Bucket(u)
+		ctx.AddWork(evals.EvaluateAll(local, func(phi []graph.Node, ranks []int32) {
+			for i, r := range ranks {
+				instBuckets[i] = int(local.Key(r))
 			}
 			sortSmallInts(instBuckets)
 			if !bucketsEqualKey(instBuckets, key) {
@@ -546,8 +547,8 @@ func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model 
 	mapper := shareEdgeMapper(p, binds, hashes, intShares)
 	evals := cq.NewEvaluatorSet(qs) // compiled once per job, shared by all reducers
 	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
-		local := graph.SparseFromEdges(edges)
-		ctx.AddWork(evals.EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
+		local := graph.RankedFromEdges(edges, nil)
+		ctx.AddWork(evals.EvaluateAll(local, func(phi []graph.Node, _ []int32) {
 			for v, u := range phi {
 				if hashes[v].Bucket(u) != int(key[v]) {
 					return

@@ -32,9 +32,9 @@ func TestNonExactSimplification(t *testing.T) {
 	}
 	// Evaluation remains exact: on the triangle K3 (nodes 0,1,2) the edge
 	// instances with a third distinct node, under orders XYZ and ZXY only.
-	local := graph.SparseFromEdges(graph.CompleteGraph(3).Edges())
+	local := graph.RankedFromEdges(graph.CompleteGraph(3).Edges(), nil)
 	var got [][]graph.Node
-	NewEvaluator(m).Run(local, graph.NaturalLess, func(phi []graph.Node) {
+	NewEvaluator(m).Run(local, func(phi []graph.Node, _ []int32) {
 		// phi is the evaluator's scratch buffer: copy to retain.
 		got = append(got, append([]graph.Node(nil), phi...))
 	})
@@ -94,7 +94,7 @@ func TestReducedLessRemovesTransitive(t *testing.T) {
 func TestEvaluatorEmptyLocalGraph(t *testing.T) {
 	q := GenerateForSample(sample.Triangle())[0]
 	count := 0
-	NewEvaluator(q).Run(graph.NewSparse(), graph.NaturalLess, func([]graph.Node) { count++ })
+	NewEvaluator(q).Run(graph.RankedFromEdges(nil, nil), func([]graph.Node, []int32) { count++ })
 	if count != 0 {
 		t.Errorf("empty fragment produced %d matches", count)
 	}

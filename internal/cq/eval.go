@@ -13,32 +13,42 @@ import (
 // lists, and the arithmetic condition prunes partial assignments and
 // filters complete ones.
 //
+// The fragment is a graph.Ranked, whose local ids are ranks in the node
+// order, so every order test is an int32 comparison. Each step first
+// folds the order constraints between the new variable and the bound ones
+// (the anchor subgoal's orientation, the other subgoals' orientations,
+// LessCons) into one open interval of ranks and binary-searches the
+// candidate list down to it; only the edge probes remain per candidate.
+//
 // An Evaluator holds only the compiled join plan and is safe for concurrent
 // use; all per-run mutable state lives in a scratch frame allocated once
 // per Run (or once per EvaluatorSet.EvaluateAll call and shared across the
 // set's CQs).
 type Evaluator struct {
-	q        *CQ
-	plan     []int       // variable binding order
-	planPos  []int       // position of each variable in plan
-	anchor   []int       // for each plan step, an earlier-bound sample-neighbor (-1 if none)
-	anchorSG []Subgoal   // the subgoal between plan[i] and anchor[i] (valid when anchor[i] >= 0)
-	checks   [][]Subgoal // remaining subgoals to verify when binding plan[i]
-	lessCons [][]Pair    // LessCons to verify when binding plan[i]
+	q       *CQ
+	plan    []int   // variable binding order
+	planPos []int   // position of each variable in plan
+	anchor  []int   // for each plan step, an earlier-bound sample-neighbor (-1 if none)
+	above   [][]int // bound variables the candidate must rank above, per step
+	below   [][]int // bound variables the candidate must rank below, per step
+	probes  [][]int // bound sample-neighbors other than the anchor, per step
 }
 
 // scratch is the reusable per-run state of an evaluation: the assignment
-// under construction and the final-check ordering buffers. One scratch
-// serves any number of sequential Run calls over CQs of the same arity.
+// under construction (local ids), its global translation, and the
+// final-check ordering buffers. One scratch serves any number of
+// sequential Run calls over CQs of the same arity.
 type scratch struct {
-	phi      []graph.Node
+	phi      []int32
+	global   []graph.Node
 	order    []int
 	orderKey []byte
 }
 
 func newScratch(p int) *scratch {
 	return &scratch{
-		phi:      make([]graph.Node, p),
+		phi:      make([]int32, p),
+		global:   make([]graph.Node, p),
 		order:    make([]int, p),
 		orderKey: make([]byte, p),
 	}
@@ -83,9 +93,9 @@ func NewEvaluator(q *CQ) *Evaluator {
 		ev.planPos[v] = i
 	}
 	ev.anchor = make([]int, p)
-	ev.anchorSG = make([]Subgoal, p)
-	ev.checks = make([][]Subgoal, p)
-	ev.lessCons = make([][]Pair, p)
+	ev.above = make([][]int, p)
+	ev.below = make([][]int, p)
+	ev.probes = make([][]int, p)
 	for i, v := range ev.plan {
 		ev.anchor[i] = -1
 		for _, sg := range q.Subgoals {
@@ -98,22 +108,30 @@ func NewEvaluator(q *CQ) *Evaluator {
 			default:
 				continue
 			}
-			if ev.planPos[other] < i {
-				if ev.anchor[i] == -1 {
-					// Candidates for plan[i] are drawn from the anchor's
-					// adjacency list, so this subgoal's edge is present by
-					// construction — only its orientation needs checking
-					// at runtime.
-					ev.anchor[i] = other
-					ev.anchorSG[i] = sg
-				} else {
-					ev.checks[i] = append(ev.checks[i], sg)
-				}
+			if ev.planPos[other] >= i {
+				continue
+			}
+			if v == sg.Lo {
+				ev.below[i] = append(ev.below[i], other)
+			} else {
+				ev.above[i] = append(ev.above[i], other)
+			}
+			if ev.anchor[i] == -1 {
+				// Candidates for plan[i] are drawn from the anchor's
+				// adjacency list, so this subgoal's edge is present by
+				// construction — only its orientation (folded into the
+				// rank interval) is open.
+				ev.anchor[i] = other
+			} else {
+				ev.probes[i] = append(ev.probes[i], other)
 			}
 		}
 		for _, c := range q.LessCons {
-			if c.A == v && ev.planPos[c.B] < i || c.B == v && ev.planPos[c.A] < i {
-				ev.lessCons[i] = append(ev.lessCons[i], c)
+			if c.A == v && ev.planPos[c.B] < i {
+				ev.below[i] = append(ev.below[i], c.B)
+			}
+			if c.B == v && ev.planPos[c.A] < i {
+				ev.above[i] = append(ev.above[i], c.A)
 			}
 		}
 	}
@@ -121,96 +139,80 @@ func NewEvaluator(q *CQ) *Evaluator {
 }
 
 // Run enumerates every assignment φ (one data node per variable) satisfying
-// the CQ over the local edge set, under the node order less. It calls emit
-// once per match with the internal scratch assignment — valid only for the
-// duration of the call, so emit must copy phi if it retains it — and
-// returns the number of candidate extensions examined (the evaluator's
-// work, for convertibility metering). For best probe performance freeze the
-// local fragment first (graph.Sparse.Freeze; SparseFromEdges arrives
-// frozen).
-func (ev *Evaluator) Run(local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
-	return ev.run(local, less, newScratch(ev.q.P), emit)
+// the CQ over the ranked fragment, under the fragment's node order. It
+// calls emit once per match with the assignment twice over: phi holds the
+// data-graph nodes and local their local ids in the fragment. Both are
+// internal scratch — valid only for the duration of the call, so emit must
+// copy what it retains. Run returns the number of candidate extensions
+// examined (the evaluator's work, for convertibility metering); candidates
+// skipped by the rank interval are counted too, since each of them would
+// have failed an order test without being extended.
+func (ev *Evaluator) Run(local *graph.Ranked, emit func(phi []graph.Node, local []int32)) int64 {
+	return ev.extend(local, newScratch(ev.q.P), 0, emit)
 }
 
-func (ev *Evaluator) run(local *graph.Sparse, less graph.Less, sc *scratch, emit func([]graph.Node)) int64 {
-	return ev.extend(local, less, sc, 0, emit)
-}
-
-func (ev *Evaluator) extend(local *graph.Sparse, less graph.Less, sc *scratch, step int, emit func([]graph.Node)) int64 {
+func (ev *Evaluator) extend(local *graph.Ranked, sc *scratch, step int, emit func([]graph.Node, []int32)) int64 {
 	phi := sc.phi
 	if step == len(ev.plan) {
-		if ev.finalCheck(sc, less) {
-			emit(phi)
+		if ev.finalCheck(sc) {
+			for i, u := range phi {
+				sc.global[i] = local.Global(u)
+			}
+			emit(sc.global, phi)
 		}
 		return 1
 	}
-	v := ev.plan[step]
-	var candidates []graph.Node
+	// The open rank interval (lo, hi) the order constraints leave for the
+	// new variable.
+	n := int32(local.NumNodes())
+	lo, hi := int32(-1), n
+	for _, x := range ev.above[step] {
+		lo = max(lo, phi[x])
+	}
+	for _, x := range ev.below[step] {
+		hi = min(hi, phi[x])
+	}
 	if a := ev.anchor[step]; a >= 0 {
-		candidates = local.Neighbors(phi[a])
-	} else {
-		candidates = local.Nodes()
+		row := local.Row(phi[a])
+		work := int64(len(row))
+		for _, c := range graph.Between(row, lo, hi) {
+			work += ev.try(local, sc, step, c, emit)
+		}
+		return work
 	}
-	// Bound-set bitmask: one bit per already-bound node (hashed into a
-	// word), computed once per step. A candidate whose bit is clear is
-	// certainly not a duplicate of a bound node; only hash collisions pay
-	// the O(step) confirmation scan.
-	var mask uint64
-	for s := 0; s < step; s++ {
-		mask |= 1 << (uint32(phi[ev.plan[s]]) & 63)
-	}
-	var work int64
-	for _, c := range candidates {
-		work++
-		ok := true
-		if mask&(1<<(uint32(c)&63)) != 0 {
-			for s := 0; s < step && ok; s++ {
-				if phi[ev.plan[s]] == c {
-					ok = false
-				}
-			}
-			if !ok {
-				continue
-			}
-		}
-		phi[v] = c
-		if ev.anchor[step] >= 0 {
-			// The anchor edge exists by construction (c came from the
-			// anchor's adjacency list); only the orientation is open.
-			sg := ev.anchorSG[step]
-			if !less(phi[sg.Lo], phi[sg.Hi]) {
-				continue
-			}
-		}
-		for _, sg := range ev.checks[step] {
-			lo, hi := phi[sg.Lo], phi[sg.Hi]
-			if !less(lo, hi) || !local.HasEdge(lo, hi) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, lc := range ev.lessCons[step] {
-				if !less(phi[lc.A], phi[lc.B]) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			work += ev.extend(local, less, sc, step+1, emit)
-		}
+	work := int64(n)
+	for c := lo + 1; c < hi; c++ {
+		work += ev.try(local, sc, step, c, emit)
 	}
 	return work
 }
 
+// try binds the candidate c (already inside the step's rank interval) to
+// the step's variable if it is not a bound node and is adjacent to every
+// probed one, and extends the assignment. It returns the work below c.
+func (ev *Evaluator) try(local *graph.Ranked, sc *scratch, step int, c int32, emit func([]graph.Node, []int32)) int64 {
+	phi := sc.phi
+	for s := 0; s < step; s++ {
+		if phi[ev.plan[s]] == c {
+			return 0
+		}
+	}
+	for _, x := range ev.probes[step] {
+		if !local.HasEdge(c, phi[x]) {
+			return 0
+		}
+	}
+	phi[ev.plan[step]] = c
+	return ev.extend(local, sc, step+1, emit)
+}
+
 // finalCheck verifies the ordering-mode condition against the complete
 // assignment, using the scratch buffers: the variables are insertion-sorted
-// by their images under less and the resulting order is looked up in the
+// by their local ids (ranks) and the resulting order is looked up in the
 // CQ's accepted-order set without allocating.
 //
 //lint:hotpath
-func (ev *Evaluator) finalCheck(sc *scratch, less graph.Less) bool {
+func (ev *Evaluator) finalCheck(sc *scratch) bool {
 	if ev.q.Orderings == nil {
 		return true // constraint mode: everything verified incrementally
 	}
@@ -224,7 +226,7 @@ func (ev *Evaluator) finalCheck(sc *scratch, less graph.Less) bool {
 	for i := 1; i < p; i++ {
 		v := order[i]
 		j := i - 1
-		for j >= 0 && less(sc.phi[v], sc.phi[order[j]]) {
+		for j >= 0 && sc.phi[v] < sc.phi[order[j]] {
 			order[j+1] = order[j]
 			j--
 		}
@@ -266,24 +268,24 @@ func NewEvaluatorSet(cqs []*CQ) *EvaluatorSet {
 // Len returns the number of compiled CQs.
 func (s *EvaluatorSet) Len() int { return len(s.evals) }
 
-// EvaluateAll runs every compiled CQ over the local edge set and emits each
+// EvaluateAll runs every compiled CQ over the ranked fragment and emits each
 // satisfying assignment once (distinct CQs of a well-formed set never
-// produce the same assignment). The phi passed to emit is a scratch buffer
-// shared across the whole call — copy it to retain it. Returns total
-// evaluator work.
-func (s *EvaluatorSet) EvaluateAll(local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
+// produce the same assignment). phi and local are as for Evaluator.Run:
+// scratch buffers shared across the whole call — copy them to retain them.
+// Returns total evaluator work.
+func (s *EvaluatorSet) EvaluateAll(local *graph.Ranked, emit func(phi []graph.Node, local []int32)) int64 {
 	sc := newScratch(s.p)
 	var work int64
 	for _, ev := range s.evals {
-		work += ev.run(local, less, sc, emit)
+		work += ev.extend(local, sc, 0, emit)
 	}
 	return work
 }
 
-// EvaluateAll compiles the CQ set and runs it over the local edge set; see
+// EvaluateAll compiles the CQ set and runs it over the ranked fragment; see
 // EvaluatorSet.EvaluateAll for the emit contract. Callers evaluating the
 // same set against many fragments (reducers above all) should compile once
 // with NewEvaluatorSet and reuse it instead.
-func EvaluateAll(cqs []*CQ, local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
-	return NewEvaluatorSet(cqs).EvaluateAll(local, less, emit)
+func EvaluateAll(cqs []*CQ, local *graph.Ranked, emit func(phi []graph.Node, local []int32)) int64 {
+	return NewEvaluatorSet(cqs).EvaluateAll(local, emit)
 }

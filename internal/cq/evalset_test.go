@@ -13,13 +13,13 @@ import (
 func TestEvaluatorSetMatchesPerCQRuns(t *testing.T) {
 	for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop()} {
 		g := graph.Gnm(14, 40, 11)
-		local := graph.SparseFromEdges(g.Edges())
+		local := graph.RankedFromEdges(g.Edges(), nil)
 		cqs := MergeByOrientation(GenerateForSample(s))
 
 		wantSeen := map[string]int{}
 		var wantWork int64
 		for _, q := range cqs {
-			wantWork += NewEvaluator(q).Run(local, graph.NaturalLess, func(phi []graph.Node) {
+			wantWork += NewEvaluator(q).Run(local, func(phi []graph.Node, _ []int32) {
 				wantSeen[s.Key(phi)]++
 			})
 		}
@@ -29,7 +29,7 @@ func TestEvaluatorSetMatchesPerCQRuns(t *testing.T) {
 		if set.Len() != len(cqs) {
 			t.Fatalf("%v: set has %d evaluators, want %d", s, set.Len(), len(cqs))
 		}
-		gotWork := set.EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
+		gotWork := set.EvaluateAll(local, func(phi []graph.Node, _ []int32) {
 			gotSeen[s.Key(phi)]++
 		})
 
@@ -53,11 +53,11 @@ func TestEvaluatorSetMatchesPerCQRuns(t *testing.T) {
 // copying the matches they filter out.
 func TestEvaluatorRunScratchContract(t *testing.T) {
 	g := graph.CompleteGraph(5)
-	local := graph.SparseFromEdges(g.Edges())
+	local := graph.RankedFromEdges(g.Edges(), nil)
 	q := MergeByOrientation(GenerateForSample(sample.Triangle()))[0]
 	var retained, copied []graph.Node
 	count := 0
-	NewEvaluator(q).Run(local, graph.NaturalLess, func(phi []graph.Node) {
+	NewEvaluator(q).Run(local, func(phi []graph.Node, _ []int32) {
 		if count == 0 {
 			retained = phi // deliberately retained without copying
 			copied = append([]graph.Node(nil), phi...)

@@ -38,13 +38,13 @@ func TestQuickExactlyOnceRandomSamples(t *testing.T) {
 			return true
 		}
 		g := graph.Gnm(10, 18, int64(graphSeed))
-		local := graph.SparseFromEdges(g.Edges())
+		local := graph.RankedFromEdges(g.Edges(), nil)
 
 		seen := map[string]bool{}
 		count := 0
 		dup := false
-		EvaluateAll(MergeByOrientation(GenerateForSample(s)), local, graph.NaturalLess,
-			func(phi []graph.Node) {
+		EvaluateAll(MergeByOrientation(GenerateForSample(s)), local,
+			func(phi []graph.Node, _ []int32) {
 				count++
 				k := s.Key(phi)
 				if seen[k] {
@@ -68,12 +68,12 @@ func TestQuickOrderingInvariance(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	err := quick.Check(func(seed uint16, b uint8) bool {
 		g := graph.Gnm(10, 20, int64(seed))
-		local := graph.SparseFromEdges(g.Edges())
-		less := graph.HashLess(graph.NodeHash{Seed: uint64(seed), B: int(b%6) + 2})
+		h := graph.NodeHash{Seed: uint64(seed), B: int(b%6) + 2}
+		local := graph.RankedFromEdges(g.Edges(), func(u graph.Node) uint32 { return uint32(h.Bucket(u)) })
 		count := 0
 		seen := map[string]bool{}
 		dup := false
-		EvaluateAll(merged, local, less, func(phi []graph.Node) {
+		EvaluateAll(merged, local, func(phi []graph.Node, _ []int32) {
 			count++
 			k := s.Key(phi)
 			if seen[k] {

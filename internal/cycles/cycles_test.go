@@ -223,12 +223,12 @@ func TestCycleCQsExactlyOnce(t *testing.T) {
 	for p := 3; p <= 8; p++ {
 		for seed := int64(0); seed < 3; seed++ {
 			g := graph.Gnm(13, 32, seed)
-			local := graph.SparseFromEdges(g.Edges())
+			local := graph.RankedFromEdges(g.Edges(), nil)
 			cp := sample.Cycle(p)
 			seen := map[string]bool{}
 			count := 0
 			for _, c := range Generate(p) {
-				cq.NewEvaluator(c.CQ).Run(local, graph.NaturalLess, func(phi []graph.Node) {
+				cq.NewEvaluator(c.CQ).Run(local, func(phi []graph.Node, _ []int32) {
 					count++
 					// phi maps X1..Xp around the cycle; every consecutive
 					// pair must be an edge.
@@ -256,14 +256,14 @@ func TestCycleCQsExactlyOnce(t *testing.T) {
 // hash-then-id node order of Section 2.3.
 func TestCycleCQsHashOrder(t *testing.T) {
 	g := graph.Gnm(14, 36, 2)
-	local := graph.SparseFromEdges(g.Edges())
-	less := graph.HashLess(graph.NodeHash{Seed: 3, B: 5})
+	h := graph.NodeHash{Seed: 3, B: 5}
+	local := graph.RankedFromEdges(g.Edges(), func(u graph.Node) uint32 { return uint32(h.Bucket(u)) })
 	for _, p := range []int{5, 6} {
 		count := 0
 		seen := map[string]bool{}
 		cp := sample.Cycle(p)
 		for _, c := range Generate(p) {
-			cq.NewEvaluator(c.CQ).Run(local, less, func(phi []graph.Node) {
+			cq.NewEvaluator(c.CQ).Run(local, func(phi []graph.Node, _ []int32) {
 				count++
 				k := cp.Key(phi)
 				if seen[k] {

@@ -172,3 +172,115 @@ func TestSparseFromEdgesFrozen(t *testing.T) {
 		t.Fatalf("frozen Sparse.HasEdge allocates: %v allocs/run", allocs)
 	}
 }
+
+// TestRankedFromEdges: the ranked fragment holds exactly the fragment's
+// nodes and edges, relabelled in (key, id) order with ascending rows — on
+// compact ids (id-indexed table) and on widely spread, partly negative ids
+// (binary-search path), in natural and keyed orders.
+func TestRankedFromEdges(t *testing.T) {
+	h := NodeHash{Seed: 7, B: 3}
+	orders := map[string]func(Node) uint32{
+		"natural": nil,
+		"bucket":  func(u Node) uint32 { return uint32(h.Bucket(u)) },
+	}
+	for _, scale := range []Node{1, 1000} {
+		var edges []Edge
+		adj := map[Node]map[Node]bool{}
+		for _, e := range PowerLaw(80, 6, 2.2, 5).Edges() {
+			u, v := scale*e.U-40, scale*e.V-40
+			edges = append(edges, Edge{u, v}, Edge{v, u})
+			for _, d := range [][2]Node{{u, v}, {v, u}} {
+				if adj[d[0]] == nil {
+					adj[d[0]] = map[Node]bool{}
+				}
+				adj[d[0]][d[1]] = true
+			}
+		}
+		edges = append(edges, Edge{-40, -40})
+		for name, key := range orders {
+			r := RankedFromEdges(edges, key)
+			if r.NumNodes() != len(adj) {
+				t.Fatalf("scale %d %s: %d nodes, want %d", scale, name, r.NumNodes(), len(adj))
+			}
+			keyOf := func(u Node) uint32 {
+				if key == nil {
+					return 0
+				}
+				return key(u)
+			}
+			for a := int32(0); int(a) < r.NumNodes(); a++ {
+				u := r.Global(a)
+				if r.Key(a) != keyOf(u) {
+					t.Fatalf("scale %d %s: Key(%d) = %d, want %d", scale, name, a, r.Key(a), keyOf(u))
+				}
+				if a > 0 {
+					p := r.Global(a - 1)
+					if kp, ku := keyOf(p), keyOf(u); kp > ku || kp == ku && p >= u {
+						t.Fatalf("scale %d %s: rank %d (%d) does not precede rank %d (%d)", scale, name, a-1, p, a, u)
+					}
+				}
+				row := r.Row(a)
+				if len(row) != len(adj[u]) {
+					t.Fatalf("scale %d %s: row of %d has %d entries, degree %d", scale, name, u, len(row), len(adj[u]))
+				}
+				for i, b := range row {
+					if i > 0 && row[i-1] >= b {
+						t.Fatalf("scale %d %s: row of %d not ascending: %v", scale, name, u, row)
+					}
+					if !adj[u][r.Global(b)] || !r.HasEdge(a, b) || !r.HasEdge(b, a) {
+						t.Fatalf("scale %d %s: edge %d-%d disagrees", scale, name, u, r.Global(b))
+					}
+				}
+				if r.HasEdge(a, a) {
+					t.Fatalf("scale %d %s: self-loop at %d", scale, name, u)
+				}
+			}
+		}
+	}
+	if r := RankedFromEdges(nil, nil); r.NumNodes() != 0 {
+		t.Fatalf("empty fragment has %d nodes", r.NumNodes())
+	}
+}
+
+// TestBetween: the binary-searched sub-slice is exactly the entries
+// strictly inside the interval, including empty and inverted intervals.
+func TestBetween(t *testing.T) {
+	list := []int32{1, 3, 4, 8, 9, 12}
+	for _, c := range []struct {
+		lo, hi int32
+		want   []int32
+	}{
+		{-1, 13, list}, {3, 9, []int32{4, 8}}, {2, 4, []int32{3}},
+		{4, 5, nil}, {9, 3, nil}, {12, 20, nil}, {-1, 1, nil},
+	} {
+		got := Between(list, c.lo, c.hi)
+		if len(got) != len(c.want) {
+			t.Fatalf("Between(%d, %d) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("Between(%d, %d) = %v, want %v", c.lo, c.hi, got, c.want)
+			}
+		}
+	}
+}
+
+// TestRankedProbesZeroAlloc pins the allocation-free guarantee of the
+// ranked fragment's edge probe, row lookup and range narrowing (the CQ
+// reducers' innermost loop).
+func TestRankedProbesZeroAlloc(t *testing.T) {
+	h := NodeHash{Seed: 1, B: 4}
+	r := RankedFromEdges(Gnm(500, 4000, 5).Edges(), func(u Node) uint32 { return uint32(h.Bucket(u)) })
+	if allocs := testing.AllocsPerRun(100, func() {
+		for a := int32(0); a < 64; a++ {
+			row := r.Row(a)
+			if len(row) == 0 || !r.HasEdge(a, row[0]) {
+				t.Fatal("edge missing")
+			}
+			r.HasEdge(a, a+1)
+			Between(row, a, a+100)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Ranked probes allocate: %v allocs/run", allocs)
+	}
+}

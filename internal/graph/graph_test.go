@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestBuilderDedupAndLoops(t *testing.T) {
@@ -162,8 +161,7 @@ func TestDegreeRank(t *testing.T) {
 	if rank[0] != 4 {
 		t.Errorf("hub rank = %d, want 4", rank[0])
 	}
-	less := g.DegreeLess()
-	if !less(1, 0) || less(0, 1) {
+	if rank[1] >= rank[0] {
 		t.Error("leaves must precede the hub in degree order")
 	}
 	// Ranks are a permutation.
@@ -193,20 +191,6 @@ func TestNodeHashRangeAndDeterminism(t *testing.T) {
 		if c < 500 || c > 1500 {
 			t.Errorf("bucket %d badly balanced: %d of 7000", b, c)
 		}
-	}
-}
-
-func TestHashLessIsStrictTotalOrder(t *testing.T) {
-	less := HashLess(NodeHash{Seed: 5, B: 4})
-	err := quick.Check(func(a, b uint16) bool {
-		u, v := Node(a%100), Node(b%100)
-		if u == v {
-			return !less(u, v)
-		}
-		return less(u, v) != less(v, u) // exactly one direction
-	}, nil)
-	if err != nil {
-		t.Error(err)
 	}
 }
 

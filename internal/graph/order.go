@@ -2,26 +2,9 @@ package graph
 
 import "sort"
 
-// Less is a strict total order on nodes. The CQ machinery (Section 3 of the
-// paper) assumes "some given order of the nodes"; implementations here are
-// the natural identifier order, the nondecreasing-degree order used by the
-// serial algorithms of Section 7, and the hash-then-identifier order of
-// Section 2.3.
-type Less func(u, v Node) bool
-
-// NaturalLess orders nodes by identifier.
-func NaturalLess(u, v Node) bool { return u < v }
-
-// DegreeLess returns the order in which nodes appear by nondecreasing
-// degree, with identifiers breaking ties (the order < of Section 7.1 used
-// for properly ordered 2-paths).
-func (g *Graph) DegreeLess() Less {
-	rank := g.DegreeRank()
-	return func(u, v Node) bool { return rank[u] < rank[v] }
-}
-
 // DegreeRank returns rank[u] = position of u in the nondecreasing-degree
-// order (ties broken by identifier).
+// order, ties broken by identifier (the order < of Section 7.1 used for
+// properly ordered 2-paths).
 func (g *Graph) DegreeRank() []int32 {
 	nodes := make([]Node, g.n)
 	for i := range nodes {
@@ -41,20 +24,10 @@ func (g *Graph) DegreeRank() []int32 {
 	return rank
 }
 
-// HashLess orders nodes first by their bucket under the given hash, then by
-// identifier — the "ordering nodes by bucket" trick of Section 2.3.
-func HashLess(h NodeHash) Less {
-	return func(u, v Node) bool {
-		hu, hv := h.Bucket(u), h.Bucket(v)
-		if hu != hv {
-			return hu < hv
-		}
-		return u < v
-	}
-}
-
 // NodeHash maps nodes to buckets 0 .. B-1 using a seeded mixing function, so
 // different jobs and different variables can use independent hashes.
+// Ordering nodes by bucket, then identifier, is the node order of
+// Section 2.3 (a Ranked fragment keyed by Bucket).
 type NodeHash struct {
 	Seed uint64
 	B    int

@@ -6,17 +6,19 @@ import (
 )
 
 // Sparse is a small adjacency structure over an arbitrary (non-dense) node
-// id set. Reducers use it for the fragment of the data graph they receive:
-// node identifiers keep their global meaning but only a few appear.
+// id set. The triangle reducers use it for the fragment of the data graph
+// they receive: node identifiers keep their global meaning but only a few
+// appear. (The CQ reducers relabel their fragment instead; see Ranked.)
 //
 // A Sparse has two phases. While building, AddEdge appends into a map of
 // adjacency lists with a hash set for duplicate detection. Freeze compacts
 // the fragment into CSR form — a sorted distinct-node index, one neighbor
-// slab, per-node offsets, every list ascending — and drops both maps; from
-// then on every lookup is a binary search over flat arrays: no hashing, no
-// per-probe allocation. That is the build-once/probe-many shape of the
-// reducer inner loops, and SparseFromEdges (the reducer constructor)
-// arrives frozen without ever building the maps.
+// slab, per-node offsets, every list ascending, and an open-addressing
+// id→index table — and drops both maps; from then on a lookup is one table
+// probe plus, for an edge test, one binary search over a flat list, with
+// no per-probe allocation. That is the build-once/probe-many shape of the
+// reducer inner loops, and SparseFromEdges arrives frozen without ever
+// building the maps.
 type Sparse struct {
 	// Frozen CSR form.
 	nodes []Node  // sorted distinct nodes with at least one incident edge
@@ -62,16 +64,8 @@ func SparseFromEdges(edges []Edge) *Sparse {
 // buildCSR sorts and dedups the packed adjacency entries and lays out the
 // frozen form.
 func (s *Sparse) buildCSR(pairs []uint64) {
-	slices.Sort(pairs)
-	w := 0
-	for i, p := range pairs {
-		if i == 0 || p != pairs[i-1] {
-			pairs[w] = p
-			w++
-		}
-	}
-	pairs = pairs[:w]
-
+	pairs = sortDedup(pairs)
+	w := len(pairs)
 	s.nbr = make([]Node, w)
 	s.nodes = s.nodes[:0]
 	s.off = s.off[:0]
@@ -130,10 +124,10 @@ func idHash(u Node) uint32 {
 	return x
 }
 
-// Freeze compacts the fragment into its CSR form and switches every lookup
-// to binary search over flat arrays, releasing the build-time maps.
-// Reducers call it once per fragment before the probe-heavy enumeration
-// loop. Freezing an already-frozen Sparse is a no-op.
+// Freeze compacts the fragment into its CSR form and id→index table,
+// switching lookups from the build-time maps (which it releases) to flat
+// arrays. Call it once per fragment before a probe-heavy loop. Freezing an
+// already-frozen Sparse is a no-op.
 func (s *Sparse) Freeze() {
 	if s.frozen {
 		return
@@ -203,8 +197,9 @@ func (s *Sparse) index(u Node) int {
 	}
 }
 
-// HasEdge reports whether {u, v} is present. On a frozen Sparse this is two
-// binary searches over flat arrays and never allocates.
+// HasEdge reports whether {u, v} is present. On a frozen Sparse this is one
+// id→index table probe plus one binary search in u's list, and never
+// allocates.
 func (s *Sparse) HasEdge(u, v Node) bool {
 	if u == v {
 		return false
@@ -242,7 +237,7 @@ func (s *Sparse) Neighbors(u Node) []Node {
 
 // NeighborsAt returns the neighbors of Nodes()[i] on a frozen Sparse,
 // letting index-driven loops (the triangle reducers) skip the per-node
-// binary search.
+// table probe.
 func (s *Sparse) NeighborsAt(i int) []Node {
 	s.Freeze()
 	return s.nbr[s.off[i]:s.off[i+1]]
