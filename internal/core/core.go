@@ -219,19 +219,6 @@ func checkBuckets(b int) error {
 	return nil
 }
 
-// bucketKey encodes a sorted bucket multiset (or a bucket tuple) as a
-// comparable string.
-func bucketKey(buckets []int) string {
-	b := make([]byte, len(buckets))
-	for i, v := range buckets {
-		if v > 255 {
-			panic("core: bucket exceeds 255")
-		}
-		b[i] = byte(v)
-	}
-	return string(b)
-}
-
 // bucketOriented implements the Section 4.5 strategy.
 func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
 	p, b := s.P(), opt.Buckets

@@ -10,10 +10,10 @@ import (
 )
 
 // refEvaluator is the straightforward evaluation the ranked one must
-// reproduce: the same join plan over a graph.Sparse fragment with global
-// ids, every candidate of the anchor's list tested one by one against the
-// node order less and probed with HasEdge. It is the oracle for
-// TestRankedMatchesReference.
+// reproduce: the same join plan over the fragment as a graph.Graph with
+// global ids, every candidate of the anchor's list tested one by one
+// against the node order less and probed with HasEdge. It is the oracle
+// for TestRankedMatchesReference.
 type refEvaluator struct {
 	ev       *Evaluator // the join plan under test
 	anchorSG []Subgoal
@@ -56,11 +56,13 @@ func newRefEvaluator(q *CQ) *refEvaluator {
 	return r
 }
 
-func (r *refEvaluator) run(local *graph.Sparse, less func(u, v graph.Node) bool, emit func([]graph.Node)) int64 {
-	return r.extend(local, less, make([]graph.Node, r.ev.q.P), 0, emit)
+// run evaluates over local, whose anchorless steps range over nodes: the
+// ascending list of nodes with an incident edge.
+func (r *refEvaluator) run(local *graph.Graph, nodes []graph.Node, less func(u, v graph.Node) bool, emit func([]graph.Node)) int64 {
+	return r.extend(local, nodes, less, make([]graph.Node, r.ev.q.P), 0, emit)
 }
 
-func (r *refEvaluator) extend(local *graph.Sparse, less func(u, v graph.Node) bool, phi []graph.Node, step int, emit func([]graph.Node)) int64 {
+func (r *refEvaluator) extend(local *graph.Graph, nodes []graph.Node, less func(u, v graph.Node) bool, phi []graph.Node, step int, emit func([]graph.Node)) int64 {
 	ev := r.ev
 	if step == len(ev.plan) {
 		if r.finalCheck(phi, less) {
@@ -73,7 +75,7 @@ func (r *refEvaluator) extend(local *graph.Sparse, less func(u, v graph.Node) bo
 	if a := ev.anchor[step]; a >= 0 {
 		candidates = local.Neighbors(phi[a])
 	} else {
-		candidates = local.Nodes()
+		candidates = nodes
 	}
 	var work int64
 next:
@@ -101,7 +103,7 @@ next:
 				continue next
 			}
 		}
-		work += r.extend(local, less, phi, step+1, emit)
+		work += r.extend(local, nodes, less, phi, step+1, emit)
 	}
 	return work
 }
@@ -205,13 +207,19 @@ func TestRankedMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(gi)))
 		for trial := 0; trial < 3; trial++ {
 			edges := fragment(g, rng)
-			sparse := graph.SparseFromEdges(edges)
+			local := graph.FromEdges(g.NumNodes(), edges)
+			var nodes []graph.Node
+			for u := graph.Node(0); int(u) < local.NumNodes(); u++ {
+				if local.Degree(u) > 0 {
+					nodes = append(nodes, u)
+				}
+			}
 			for _, o := range testOrders(g, uint64(gi*10+trial)) {
 				ranked := graph.RankedFromEdges(edges, o.key)
 				for _, set := range sets {
 					for qi, q := range set.cqs {
 						want := map[string]int{}
-						wantWork := newRefEvaluator(q).run(sparse, o.less, func(phi []graph.Node) {
+						wantWork := newRefEvaluator(q).run(local, nodes, o.less, func(phi []graph.Node) {
 							want[fmt.Sprint(phi)]++
 						})
 						got := map[string]int{}

@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkRankedBuild times the reducer-side CSR build on a bucket-oriented
 // reducer's input for the square query on Gnm(20000,120000) at b=4 (the
 // edges whose endpoints both hash into buckets {0, 1, 2}), ranked in the
-// bucket-then-id order and in the natural order, against the unranked
-// SparseFromEdges build of the same fragment.
+// bucket-then-id order (the CQ reducers) and in the natural order (the
+// triangle and share-based reducers).
 func BenchmarkRankedBuild(b *testing.B) {
 	h := NodeHash{Seed: 1, B: 4}
 	var edges []Edge
@@ -26,12 +26,6 @@ func BenchmarkRankedBuild(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			RankedFromEdges(edges, nil)
-		}
-	})
-	b.Run("sparse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			SparseFromEdges(edges)
 		}
 	})
 }

@@ -57,12 +57,10 @@ func TestHasEdgeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCommonNeighbors: the sorted merge agrees with pairwise HasEdge, for
-// both Graph and a frozen Sparse, across both IntersectSorted regimes
-// (merge and binary-search).
+// TestCommonNeighbors: the sorted merge agrees with pairwise HasEdge
+// across both IntersectSorted regimes (merge and binary-search).
 func TestCommonNeighbors(t *testing.T) {
 	g := PowerLaw(300, 10, 2.2, 4) // skew exercises the galloping path
-	s := SparseFromEdges(g.Edges())
 	var buf []Node
 	for _, e := range g.Edges()[:200] {
 		want := []Node{}
@@ -78,12 +76,6 @@ func TestCommonNeighbors(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("CommonNeighbors(%v): got %v, want %v", e, got, want)
-			}
-		}
-		sgot := s.CommonNeighbors(e.U, e.V, nil)
-		for i := range want {
-			if len(sgot) != len(want) || sgot[i] != want[i] {
-				t.Fatalf("Sparse.CommonNeighbors(%v): got %v, want %v", e, sgot, want)
 			}
 		}
 		buf = got
@@ -117,65 +109,10 @@ func TestIntersectSortedAdaptive(t *testing.T) {
 	}
 }
 
-// TestSparseFreeze: freezing keeps HasEdge/Neighbors/Edges semantics;
-// AddEdge after Freeze thaws, and re-freezing restores the sorted CSR form.
-func TestSparseFreeze(t *testing.T) {
-	s := NewSparse()
-	s.AddEdge(10, 3)
-	s.AddEdge(10, 20)
-	s.AddEdge(3, 20)
-	s.Freeze()
-	if !s.HasEdge(3, 10) || !s.HasEdge(20, 10) || s.HasEdge(3, 4) {
-		t.Fatal("frozen HasEdge broken")
-	}
-	if s.AddEdge(3, 10) {
-		t.Fatal("frozen dup not detected")
-	}
-	if !s.AddEdge(10, 7) {
-		t.Fatal("insert after freeze rejected")
-	}
-	s.Freeze()
-	ns := s.Neighbors(10)
-	if len(ns) != 3 || ns[0] != 3 || ns[1] != 7 || ns[2] != 20 {
-		t.Fatalf("re-frozen adjacency not sorted: %v", ns)
-	}
-	if s.NumEdges() != 4 || !s.HasEdge(7, 10) {
-		t.Fatal("insert after freeze lost the edge")
-	}
-	if s.IndexOf(7) != 1 || s.IndexOf(8) != -1 {
-		t.Fatalf("IndexOf broken: %d %d", s.IndexOf(7), s.IndexOf(8))
-	}
-	at := s.NeighborsAt(s.IndexOf(10))
-	if len(at) != 3 || at[0] != 3 {
-		t.Fatalf("NeighborsAt broken: %v", at)
-	}
-}
-
-// TestSparseFromEdgesFrozen: the bulk constructor dedups, self-loop-skips
-// and arrives frozen with zero-alloc probes.
-func TestSparseFromEdgesFrozen(t *testing.T) {
-	s := SparseFromEdges([]Edge{{1, 2}, {2, 1}, {1, 2}, {3, 3}, {2, 5}})
-	if s.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", s.NumEdges())
-	}
-	if !s.HasEdge(2, 1) || !s.HasEdge(5, 2) || s.HasEdge(3, 3) || s.HasEdge(1, 5) {
-		t.Fatal("bulk HasEdge broken")
-	}
-	es := s.Edges()
-	if len(es) != 2 || es[0] != (Edge{1, 2}) || es[1] != (Edge{2, 5}) {
-		t.Fatalf("Edges = %v", es)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		s.HasEdge(1, 2)
-		s.HasEdge(1, 5)
-	}); allocs != 0 {
-		t.Fatalf("frozen Sparse.HasEdge allocates: %v allocs/run", allocs)
-	}
-}
-
 // TestRankedFromEdges: the ranked fragment holds exactly the fragment's
-// nodes and edges, relabelled in (key, id) order with ascending rows — on
-// compact ids (id-indexed table) and on widely spread, partly negative ids
+// nodes and edges — reversed and exact duplicates merged, the self-loop
+// dropped — relabelled in (key, id) order with ascending rows, on compact
+// ids (id-indexed table) and on widely spread, partly negative ids
 // (binary-search path), in natural and keyed orders.
 func TestRankedFromEdges(t *testing.T) {
 	h := NodeHash{Seed: 7, B: 3}
@@ -196,7 +133,7 @@ func TestRankedFromEdges(t *testing.T) {
 				adj[d[0]][d[1]] = true
 			}
 		}
-		edges = append(edges, Edge{-40, -40})
+		edges = append(edges, edges[0], Edge{-40, -40})
 		for name, key := range orders {
 			r := RankedFromEdges(edges, key)
 			if r.NumNodes() != len(adj) {

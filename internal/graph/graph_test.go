@@ -194,27 +194,6 @@ func TestNodeHashRangeAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestSparse(t *testing.T) {
-	s := NewSparse()
-	if !s.AddEdge(10, 3) || s.AddEdge(3, 10) || s.AddEdge(4, 4) {
-		t.Fatal("sparse add/dedup broken")
-	}
-	s.AddEdge(10, 20)
-	if !s.HasEdge(3, 10) || s.HasEdge(3, 20) {
-		t.Fatal("sparse HasEdge broken")
-	}
-	if got := s.Nodes(); len(got) != 3 || got[0] != 3 || got[1] != 10 || got[2] != 20 {
-		t.Fatalf("Nodes = %v", got)
-	}
-	if s.NumEdges() != 2 || s.Degree(10) != 2 {
-		t.Fatal("sparse counts wrong")
-	}
-	es := s.Edges()
-	if len(es) != 2 || es[0] != (Edge{3, 10}) || es[1] != (Edge{10, 20}) {
-		t.Fatalf("Edges = %v", es)
-	}
-}
-
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := Gnm(64, 150, 11)
 	var buf bytes.Buffer

@@ -2,12 +2,13 @@ package graph
 
 import "slices"
 
-// Ranked is a reducer fragment relabelled into a total node order. The
-// CQ machinery evaluates under "some given order of the nodes" (the
-// natural id order, or the bucket-then-id order of Section 2.3); Ranked
-// bakes that order into the local ids once per fragment, so the
-// enumeration loops compare plain int32s instead of re-deriving the order
-// on every comparison.
+// Ranked is a reducer fragment relabelled into a total node order; every
+// reducer that builds a local graph (the CQ and the Section 2 triangle
+// reducers) builds one. The CQ machinery evaluates under "some given
+// order of the nodes" (the natural id order, or the bucket-then-id order
+// of Section 2.3); Ranked bakes that order into the local ids once per
+// fragment, so the enumeration loops compare plain int32s instead of
+// re-deriving the order on every comparison.
 //
 // Local id r is the node of rank r: rows are numbered 0 .. NumNodes()-1 in
 // the order, every neighbor list holds local ids ascending in that order,
@@ -32,10 +33,10 @@ const signBit = 1 << 31
 // duplicates and self-loops. Nodes are ordered by (key(u), u); a nil key
 // is the natural id order. key is called once per distinct node.
 //
-// The build sorts one packed word per adjacency entry, as SparseFromEdges
-// does, rewrites each entry's target as its rank in place, and copies each
+// The build sorts one packed word per adjacency entry and drops repeats,
+// rewrites each entry's target as its rank in place, and copies each
 // source's run into its rank's row. No id→index hash table is built: the
-// evaluation indexes by rank.
+// reducers index by rank.
 func RankedFromEdges(edges []Edge, key func(Node) uint32) *Ranked {
 	pairs := make([]uint64, 0, 2*len(edges))
 	for _, e := range edges {

@@ -31,33 +31,6 @@ func benchGraphs() map[string]*graph.Graph {
 	}
 }
 
-// BenchmarkPipelinedVsBarrier compares the pipelined partitioned engine
-// against the original global-barrier engine on the same job, inputs and
-// worker budget.
-func BenchmarkPipelinedVsBarrier(b *testing.B) {
-	for name, g := range benchGraphs() {
-		edges := g.Edges()
-		want := int64(2 * len(edges))
-		for _, engine := range []string{"pipelined", "barrier"} {
-			b.Run(fmt.Sprintf("%s/%s", name, engine), func(b *testing.B) {
-				var m Metrics
-				for i := 0; i < b.N; i++ {
-					if engine == "pipelined" {
-						_, m = Run(Config{}, edges, wedgeMap, wedgeReduce)
-					} else {
-						_, m = RunBarrier(Config{}, edges, wedgeMap, wedgeReduce)
-					}
-					if m.KeyValuePairs != want {
-						b.Fatalf("engine dropped pairs: %d != %d", m.KeyValuePairs, want)
-					}
-				}
-				b.ReportMetric(float64(m.KeyValuePairs), "pairs/op")
-				b.ReportMetric(float64(m.MaxReducerInput), "maxload")
-			})
-		}
-	}
-}
-
 // BenchmarkSpillVsInMemory prices the external shuffle: the same wedge job
 // fully in memory, under a 1 MiB budget (spilling but few runs), and under
 // a 64 KiB budget (many runs, exercising the compaction passes), on both

@@ -162,10 +162,35 @@ func TestEmptyInputVariants(t *testing.T) {
 	}
 }
 
-// TestPipelinedMatchesBarrier checks the determinism guarantee: for
-// combiner-less jobs the pipelined engine reports byte-identical metrics to
-// the original barrier engine, across worker/partition configurations.
-func TestPipelinedMatchesBarrier(t *testing.T) {
+// serialGroupBy is the reference the engine must agree with: it maps the
+// inputs in order, groups the pairs into one map, and reduces each key
+// with a fresh Context, reporting the metrics a combiner-less job defines.
+func serialGroupBy[I any, K comparable, V any, O any](inputs []I, mapFn Mapper[I, K, V], reduceFn Reducer[K, V, O]) ([]O, Metrics) {
+	var m Metrics
+	groups := map[K][]V{}
+	for _, in := range inputs {
+		mapFn(in, func(k K, v V) {
+			groups[k] = append(groups[k], v)
+			m.KeyValuePairs++
+		})
+	}
+	var outs []O
+	for k, vs := range groups {
+		m.DistinctKeys++
+		m.MaxReducerInput = max(m.MaxReducerInput, int64(len(vs)))
+		ctx := &Context{}
+		reduceFn(ctx, k, vs, func(o O) { outs = append(outs, o) })
+		m.ReducerWork += ctx.work
+	}
+	m.Outputs = int64(len(outs))
+	return outs, m
+}
+
+// TestPipelinedMatchesSerialGroupBy checks the determinism guarantee: for
+// combiner-less jobs the pipelined engine reports exactly the outputs and
+// metrics of a serial group-by, across worker/partition configurations
+// and under a spilling budget.
+func TestPipelinedMatchesSerialGroupBy(t *testing.T) {
 	inputs := make([]int, 2000)
 	for i := range inputs {
 		inputs[i] = i * 31
@@ -184,7 +209,7 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 		}
 		emit(sum)
 	}
-	wantOut, wantM := RunBarrier(Config{Parallelism: 2}, inputs, mapFn, reduceFn)
+	wantOut, wantM := serialGroupBy(inputs, mapFn, reduceFn)
 	sort.Ints(wantOut)
 	for _, cfg := range []Config{
 		{},

@@ -63,8 +63,8 @@ func PartitionContext(ctx context.Context, g *graph.Graph, b int, seed uint64, c
 	h := graph.NodeHash{Seed: seed, B: b}
 	mapper := partitionMapper(h, b)
 	reducer := func(ctx *mapreduce.Context, key triple, edges []graph.Edge, emit func([3]graph.Node)) {
-		local := graph.SparseFromEdges(edges)
-		ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
+		local := graph.RankedFromEdges(edges, nil)
+		ctx.AddWork(trianglesIn(local, func(a, bb, c graph.Node) {
 			if canonicalGroupTriple(h, b, a, bb, c) == key {
 				emit([3]graph.Node{a, bb, c})
 			}
@@ -258,8 +258,8 @@ func BucketOrderedContext(ctx context.Context, g *graph.Graph, b int, seed uint6
 	h := graph.NodeHash{Seed: seed, B: b}
 	mapper := bucketOrderedMapper(h, b)
 	reducer := func(ctx *mapreduce.Context, key triple, edges []graph.Edge, emit func([3]graph.Node)) {
-		local := graph.SparseFromEdges(edges)
-		ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
+		local := graph.RankedFromEdges(edges, nil)
+		ctx.AddWork(trianglesIn(local, func(a, bb, c graph.Node) {
 			if sortedTriple(h.Bucket(a), h.Bucket(bb), h.Bucket(c)) == key {
 				emit([3]graph.Node{a, bb, c})
 			}
@@ -306,21 +306,19 @@ func ProbeLoads(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.C
 	return mapreduce.LoadStats{}, fmt.Errorf("triangle: unknown algorithm %q", algo)
 }
 
-// trianglesInSparse enumerates each triangle of the local graph once
+// trianglesIn enumerates each triangle of a natural-order fragment once
 // (emitted id-sorted) using the degree-ordered successor method — the same
 // O(m^{3/2}) serial algorithm, so reducer work stays convertible. Returns
 // the number of candidate pairs examined (the pairwise count, although the
-// verification itself runs as a sorted merge over the frozen fragment).
-func trianglesInSparse(s *graph.Sparse, emit func(a, b, c graph.Node)) int64 {
-	s.Freeze()
-	nodes := s.Nodes()
-	n := len(nodes)
+// verification itself runs as a sorted merge of rows).
+func trianglesIn(r *graph.Ranked, emit func(a, b, c graph.Node)) int64 {
+	n := r.NumNodes()
 	deg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		deg[i] = int32(len(s.NeighborsAt(i)))
+	for i := range deg {
+		deg[i] = int32(len(r.Row(int32(i))))
 	}
-	// Index-space degree order: nodes are sorted, so index order is id
-	// order and the whole ordering works on flat arrays.
+	// Degree order with the id tie-break: in natural order local id order
+	// is id order, so the whole ordering works on flat arrays.
 	ord := make([]int32, n)
 	for i := range ord {
 		ord[i] = int32(i)
@@ -336,19 +334,18 @@ func trianglesInSparse(s *graph.Sparse, emit func(a, b, c graph.Node)) int64 {
 		rank[i] = int32(pos)
 	}
 	var work int64
-	var succ, common []graph.Node
-	for i := 0; i < n; i++ {
-		v := nodes[i]
+	var succ, common []int32
+	for v := int32(0); v < int32(n); v++ {
 		succ = succ[:0]
-		for _, u := range s.NeighborsAt(i) {
-			if rank[s.IndexOf(u)] > rank[i] {
+		for _, u := range r.Row(v) {
+			if rank[u] > rank[v] {
 				succ = append(succ, u)
 			}
 		}
 		work += int64(len(succ)*(len(succ)-1)) / 2
 		for j := 0; j+1 < len(succ); j++ {
 			u := succ[j]
-			common = graph.IntersectSorted(succ[j+1:], s.Neighbors(u), common[:0])
+			common = graph.IntersectSorted(succ[j+1:], r.Row(u), common[:0])
 			for _, w := range common {
 				a, bb, c := v, u, w
 				if a > bb {
@@ -360,7 +357,7 @@ func trianglesInSparse(s *graph.Sparse, emit func(a, b, c graph.Node)) int64 {
 				if a > bb {
 					a, bb = bb, a
 				}
-				emit(a, bb, c)
+				emit(r.Global(a), r.Global(bb), r.Global(c))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package triangle
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"subgraphmr/internal/graph"
@@ -235,6 +236,82 @@ func TestConvertibility(t *testing.T) {
 			t.Errorf("b=%d: reducer work %d is %.1fx serial %d — not convertible",
 				b, res.Metrics.ReducerWork, ratio, serialWork)
 		}
+	}
+}
+
+// fragment cuts a reducer-like edge set out of g: a random subset of the
+// edges in shuffled order, some reversed and some repeated, plus a
+// self-loop — the shapes a reducer's grouped edge slab can take.
+func fragment(g *graph.Graph, rng *rand.Rand) []graph.Edge {
+	var out []graph.Edge
+	for _, e := range g.Edges() {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		out = append(out, e)
+		switch rng.Intn(8) {
+		case 0:
+			out = append(out, graph.Edge{U: e.V, V: e.U})
+		case 1:
+			out = append(out, e)
+		}
+	}
+	if len(out) > 0 {
+		out = append(out, graph.Edge{U: out[0].U, V: out[0].U})
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestFragmentTrianglesMatchSerial: on each reducer fragment the local
+// triangle listing is the serial algorithm run on that fragment — the
+// same triangles in the same order, each once and id-sorted, for exactly
+// the serial work. This pins per-reducer work to the serial algorithm,
+// which is what the convertibility argument charges.
+func TestFragmentTrianglesMatchSerial(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.Gnm(60, 400, 1), graph.Gnm(200, 1500, 2),
+		graph.PowerLaw(150, 8, 2.2, 3), graph.PowerLaw(300, 10, 2.1, 4),
+		graph.CompleteGraph(12),
+	}
+	total := 0
+	for gi, g := range graphs {
+		rng := rand.New(rand.NewSource(int64(gi)))
+		for trial := 0; trial < 4; trial++ {
+			frag := fragment(g, rng)
+			var want [][3]graph.Node
+			wantWork := serial.Triangles(graph.FromEdges(g.NumNodes(), frag), func(a, b, c graph.Node) {
+				want = append(want, [3]graph.Node{a, b, c})
+			})
+			var got [][3]graph.Node
+			seen := map[[3]graph.Node]bool{}
+			gotWork := trianglesIn(graph.RankedFromEdges(frag, nil), func(a, b, c graph.Node) {
+				tri := [3]graph.Node{a, b, c}
+				if !(a < b && b < c) {
+					t.Fatalf("graph %d trial %d: triangle %v not id-sorted", gi, trial, tri)
+				}
+				if seen[tri] {
+					t.Fatalf("graph %d trial %d: triangle %v emitted twice", gi, trial, tri)
+				}
+				seen[tri] = true
+				got = append(got, tri)
+			})
+			if gotWork != wantWork {
+				t.Errorf("graph %d trial %d: work %d, serial %d", gi, trial, gotWork, wantWork)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("graph %d trial %d: %d triangles, serial %d", gi, trial, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("graph %d trial %d: triangle %d is %v, serial %v", gi, trial, i, got[i], want[i])
+				}
+			}
+			total += len(want)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no fragment held a triangle")
 	}
 }
 
