@@ -179,6 +179,94 @@ func TestRankedFromEdges(t *testing.T) {
 	}
 }
 
+// TestRankedSmallFragment pins a hand-checked fragment exactly: reversed
+// and repeated edges merge, a node with only a self-loop is absent, and
+// the local ids, keys and rows are the expected ones in natural and keyed
+// orders.
+func TestRankedSmallFragment(t *testing.T) {
+	edges := []Edge{{1, 2}, {2, 1}, {1, 2}, {3, 3}, {2, 5}, {5, -4}}
+	for _, c := range []struct {
+		name   string
+		key    func(Node) uint32
+		global []Node
+		keys   []uint32
+		rows   [][]int32
+	}{
+		{"natural", nil, []Node{-4, 1, 2, 5}, []uint32{0, 0, 0, 0},
+			[][]int32{{3}, {2}, {1, 3}, {0, 2}}},
+		{"keyed", func(u Node) uint32 {
+			if u == 5 {
+				return 0
+			}
+			return 1
+		}, []Node{5, -4, 1, 2}, []uint32{0, 1, 1, 1},
+			[][]int32{{1, 3}, {0}, {3}, {0, 2}}},
+	} {
+		r := RankedFromEdges(edges, c.key)
+		if r.NumNodes() != len(c.global) {
+			t.Fatalf("%s: %d nodes, want %d", c.name, r.NumNodes(), len(c.global))
+		}
+		for a := int32(0); int(a) < r.NumNodes(); a++ {
+			if r.Global(a) != c.global[a] || r.Key(a) != c.keys[a] {
+				t.Fatalf("%s: local %d is (%d, key %d), want (%d, key %d)",
+					c.name, a, r.Global(a), r.Key(a), c.global[a], c.keys[a])
+			}
+			row := r.Row(a)
+			if len(row) != len(c.rows[a]) {
+				t.Fatalf("%s: row %d = %v, want %v", c.name, a, row, c.rows[a])
+			}
+			for i := range row {
+				if row[i] != c.rows[a][i] {
+					t.Fatalf("%s: row %d = %v, want %v", c.name, a, row, c.rows[a])
+				}
+			}
+		}
+	}
+}
+
+// TestRankedCommonNeighbors: merging two ranked rows finds the same common
+// neighbors as Graph.CommonNeighbors on the whole graph, in natural and
+// bucket orders, so a reducer can intersect in local ids.
+func TestRankedCommonNeighbors(t *testing.T) {
+	g := PowerLaw(300, 10, 2.2, 4)
+	h := NodeHash{Seed: 3, B: 4}
+	for name, key := range map[string]func(Node) uint32{
+		"natural": nil,
+		"bucket":  func(u Node) uint32 { return uint32(h.Bucket(u)) },
+	} {
+		r := RankedFromEdges(g.Edges(), key)
+		local := map[Node]int32{}
+		for a := int32(0); int(a) < r.NumNodes(); a++ {
+			local[r.Global(a)] = a
+		}
+		for _, e := range g.Edges()[:200] {
+			x, y := r.Row(local[e.U]), r.Row(local[e.V])
+			var got []Node
+			for i, j := 0, 0; i < len(x) && j < len(y); {
+				switch {
+				case x[i] < y[j]:
+					i++
+				case x[i] > y[j]:
+					j++
+				default:
+					got = append(got, r.Global(x[i]))
+					i, j = i+1, j+1
+				}
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			want := g.CommonNeighbors(e.U, e.V, nil)
+			if len(got) != len(want) {
+				t.Fatalf("%s: common neighbors of %v: got %v, want %v", name, e, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: common neighbors of %v: got %v, want %v", name, e, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestBetween: the binary-searched sub-slice is exactly the entries
 // strictly inside the interval, including empty and inverted intervals.
 func TestBetween(t *testing.T) {
