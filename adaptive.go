@@ -7,7 +7,6 @@ import (
 	"subgraphmr/internal/core"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/shares"
-	"subgraphmr/internal/triangle"
 	"subgraphmr/internal/tworound"
 )
 
@@ -277,7 +276,7 @@ func probeTriangle(d *strategyDef, pr *prober, c *Candidate) {
 		rungs = probeLadder(c.Buckets, t.comm)
 	}
 	row, ok := pr.ladder(c.Strategy, 3, rungs, func(b int) (mapreduce.LoadStats, error) {
-		return triangle.ProbeLoads(pr.q.g, t.probeName, b, pr.q.o.seed, pr.cfg)
+		return t.loads(pr.q.g, b, pr.q.o.seed, pr.cfg), nil
 	})
 	if !ok {
 		return

@@ -4,22 +4,20 @@
 // cooperative stop contract). See internal/lint for the analyzers and
 // docs/ARCHITECTURE.md for the rationale behind each rule.
 //
-// It runs three ways:
+// It runs two ways:
 //
-//	sgmrlint [-json] [packages]   # standalone, e.g. sgmrlint ./...
+//	sgmrlint [-json] [packages]   # the analyzers, e.g. sgmrlint ./...
 //	sgmrlint -escapes [packages]  # escape gate: -gcflags=-m over //lint:hotpath
-//	go vet -vettool=$(which sgmrlint) ./...
 //
-// The vettool form speaks cmd/go's unitchecker protocol (-V=full, -flags,
-// one .cfg per package), so findings come out with go vet's caching and
-// per-package scheduling. All forms exit 1 when there are unsuppressed
-// findings; the default rendering is file:line:col: message (analyzer),
-// and -json switches to one array of {file,line,col,analyzer,message,
-// suppressed} objects on stdout.
+// The analyzers cover each matched package and its test variants, so
+// allow directives in _test.go files are validated too. Both forms
+// exit 1 when there are unsuppressed findings and 2 on a load error or an
+// unknown flag; the default rendering is file:line:col: message
+// (analyzer), and -json switches to one array of {file,line,col,analyzer,
+// message,suppressed} objects on stdout.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,21 +34,10 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 1 {
-		switch arg := args[0]; {
-		case arg == "-V=full":
-			return printVersion(stdout, stderr)
-		case arg == "-V":
-			fmt.Fprintln(stdout, "sgmrlint version devel")
-			return 0
-		case arg == "-flags":
-			// No tool-specific flags; cmd/go wants the JSON list anyway.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case arg == "help" || arg == "-h" || arg == "-help" || arg == "--help":
+		switch args[0] {
+		case "help", "-h", "-help", "--help":
 			usage(stdout)
 			return 0
-		case strings.HasSuffix(arg, ".cfg"):
-			return runUnit(arg, stderr)
 		}
 	}
 	// Tool modes. Flags may precede the package patterns in any order.
@@ -121,46 +108,12 @@ func report(findings []driver.Finding, jsonOut bool, stdout, stderr io.Writer) i
 	return 0
 }
 
-func runUnit(cfgFile string, stderr io.Writer) int {
-	diags, err := driver.RunUnit(cfgFile)
-	if err != nil {
-		fmt.Fprintln(stderr, "sgmrlint:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(stderr, d)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// printVersion emits the exact version banner cmd/go's -vettool handshake
-// parses: "<executable> version devel ... buildID=<content hash>". The
-// hash makes go vet's result cache invalidate when the tool changes.
-func printVersion(stdout, stderr io.Writer) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(stderr, "sgmrlint:", err)
-		return 2
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		fmt.Fprintln(stderr, "sgmrlint:", err)
-		return 2
-	}
-	sum := sha256.Sum256(data)
-	fmt.Fprintf(stdout, "%s version devel comments-go-here buildID=%x\n", exe, sum)
-	return 0
-}
-
 func usage(w io.Writer) {
 	fmt.Fprintln(w, "sgmrlint checks subgraphmr's engine invariants.")
 	fmt.Fprintln(w, "\nUsage:\n\n\tsgmrlint [-json] [packages]\te.g. sgmrlint ./...")
 	fmt.Fprintln(w, "\tsgmrlint -escapes [packages]\tcompile with -gcflags=-m and fail on heap escapes inside //lint:hotpath functions")
-	fmt.Fprintln(w, "\tgo vet -vettool=$(command -v sgmrlint) [packages]")
-	fmt.Fprintln(w, "\n-json prints findings (suppressed ones included, marked) as a JSON array on stdout.")
+	fmt.Fprintln(w, "\nPackages are checked together with their _test.go files.")
+	fmt.Fprintln(w, "-json prints findings (suppressed ones included, marked) as a JSON array on stdout.")
 	fmt.Fprintln(w, "\nAnalyzers:")
 	for _, a := range lint.All() {
 		fmt.Fprintf(w, "\n%s:\n\t%s\n", a.Name, a.Doc)

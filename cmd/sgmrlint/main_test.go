@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,30 +11,21 @@ import (
 	"subgraphmr/internal/lint/driver"
 )
 
-// TestVersionHandshake checks the exact banner cmd/go's -vettool probe
-// parses: "<exe> version devel ... buildID=<hex>".
-func TestVersionHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exited %d: %s", code, stderr.String())
-	}
-	fields := strings.Fields(strings.TrimSpace(stdout.String()))
-	if len(fields) < 3 || fields[1] != "version" {
-		t.Fatalf("banner %q: want '<exe> version ...'", stdout.String())
-	}
-	if fields[2] == "devel" && !strings.HasPrefix(fields[len(fields)-1], "buildID=") {
-		t.Fatalf("devel banner %q must end in buildID=<hash>", stdout.String())
-	}
-}
-
-// TestFlagsHandshake: cmd/go asks for the tool's flag inventory as JSON.
-func TestFlagsHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exited %d: %s", code, stderr.String())
-	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Fatalf("-flags printed %q, want []", got)
+// TestNoVettoolProtocol: sgmrlint has one analysis mode. The flags
+// cmd/go's -vettool handshake sends are unknown flags now, and a vet .cfg
+// file is just a pattern go list cannot load; each is a usage error.
+func TestNoVettoolProtocol(t *testing.T) {
+	for _, arg := range []string{"-V=full", "-V", "-flags"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{arg}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s exited %d, want 2", arg, code)
+		}
+		if want := "sgmrlint: unknown flag " + arg; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s: stderr %q lacks %q", arg, stderr.String(), want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s printed %q on stdout", arg, stdout.String())
+		}
 	}
 }
 
@@ -112,19 +102,14 @@ func Excused() context.Context {
 	}
 }
 
-// TestGoVetVettool exercises the real protocol end to end: build the
-// binary, point go vet at it over a throwaway module with one violation,
-// and require the finding (and a clean pass once fixed).
-func TestGoVetVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "sgmrlint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building sgmrlint: %v\n%s", err, out)
-	}
-
+// TestTestFileDirectives: directives in _test.go files are validated like
+// any other. A stale allow in an in-package test file and an allow naming
+// an unknown analyzer in an external test file are both reported, and a
+// violation in the package's own file is reported once, not again for the
+// test variant that recompiles it. The external test uses a name declared
+// in the in-package test file, so it type-checks only if its import
+// resolves to the test variant.
+func TestTestFileDirectives(t *testing.T) {
 	mod := t.TempDir()
 	write := func(name, src string) {
 		t.Helper()
@@ -132,8 +117,8 @@ func TestGoVetVettool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("go.mod", "module vetfixture\n\ngo 1.24\n")
-	write("a.go", `package vetfixture
+	write("go.mod", "module testfixture\n\ngo 1.24\n")
+	write("a.go", `package testfixture
 
 import "context"
 
@@ -141,31 +126,59 @@ func Detached() context.Context {
 	return context.Background()
 }
 `)
+	write("a_test.go", `package testfixture
 
-	vet := func() (string, error) {
-		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-		cmd.Dir = mod
-		out, err := cmd.CombinedOutput()
-		return string(out), err
+import "testing"
+
+// Root is visible to the external test only through the test variant.
+var Root = Detached
+
+func TestDetached(t *testing.T) {
+	//lint:allow ctxhygiene fixture: excuses nothing, test files are out of scope
+	if Detached() == nil {
+		t.Fatal("nil context")
 	}
-
-	out, err := vet()
-	if err == nil {
-		t.Fatalf("go vet passed on a tree with a violation:\n%s", out)
-	}
-	if !strings.Contains(out, "ctxhygiene") || !strings.Contains(out, "Background()") {
-		t.Fatalf("go vet output missing the ctxhygiene finding:\n%s", out)
-	}
-
-	write("a.go", `package vetfixture
-
-import "context"
-
-func Attached(ctx context.Context) context.Context {
-	return ctx
 }
 `)
-	if out, err := vet(); err != nil {
-		t.Fatalf("go vet failed on a clean tree: %v\n%s", err, out)
+	write("b_test.go", `package testfixture_test
+
+import (
+	"testing"
+
+	"testfixture"
+)
+
+func TestExternal(t *testing.T) {
+	//lint:allow nosuchcheck fixture: no analyzer has this name
+	_ = testfixture.Root()
+}
+`)
+	t.Chdir(mod)
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-json", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exited %d (stderr: %s), want 1", code, stderr.String())
+	}
+	var findings []driver.Finding
+	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
+		t.Fatalf("stdout is not a JSON findings array: %v\n%s", err, stdout.String())
+	}
+	want := []struct {
+		file, analyzer, message string
+		line                    int
+	}{
+		{"a.go", "ctxhygiene", "Background()", 6},
+		{"a_test.go", "sgmrlint", "suppresses no diagnostic", 9},
+		{"b_test.go", "sgmrlint", "unknown analyzer nosuchcheck", 10},
+	}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%+v", len(findings), len(want), findings)
+	}
+	for i, w := range want {
+		f := findings[i]
+		if filepath.Base(f.File) != w.file || f.Line != w.line || f.Analyzer != w.analyzer ||
+			!strings.Contains(f.Message, w.message) || f.Suppressed {
+			t.Errorf("finding %d = %+v, want %s:%d %s %q", i, f, w.file, w.line, w.analyzer, w.message)
+		}
 	}
 }

@@ -86,16 +86,14 @@ func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt Option
 			emit(multisetKey(nil, hu, hv), a)
 			return
 		}
+		// Distinct nondecreasing completions W give distinct multisets
+		// W ∪ {hu, hv} (W is that multiset minus {hu, hv}), so every key
+		// is emitted once without a dedup set.
 		buckets := make([]int, p-2)
-		seen := make(map[string]bool)
 		var fill func(idx, min int)
 		fill = func(idx, min int) {
 			if idx == p-2 {
-				key := multisetKey(buckets, hu, hv)
-				if !seen[key] {
-					seen[key] = true
-					emit(key, a)
-				}
+				emit(multisetKey(buckets, hu, hv), a)
 				return
 			}
 			for w := min; w < b; w++ {

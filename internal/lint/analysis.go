@@ -7,9 +7,9 @@
 // golang.org/x/tools/go/analysis closely enough (Analyzer/Pass/Reportf,
 // analysistest-style fixtures under testdata/src) that the analyzers could
 // be ported to the real framework nearly verbatim if the dependency ever
-// lands. The drivers in internal/lint/driver speak the `go vet -vettool`
-// command-line protocol, so `go vet -vettool=$(which sgmrlint) ./...`
-// works exactly as it would with a unitchecker-based tool.
+// lands. The driver in internal/lint/driver loads packages and their test
+// variants through `go list` and runs every analyzer over them, as
+// `go vet` would run a unitchecker-based tool.
 //
 // Every analyzer supports the escape hatch
 //
@@ -42,11 +42,11 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// A Unit is one loaded, type-checked package — the input both drivers and
+// A Unit is one loaded, type-checked package — the input the driver and
 // the fixture harness hand to Run.
 type Unit struct {
-	// Path is the package's import path as the build system knows it
-	// (vet test variants keep their " [pkg.test]" suffix).
+	// Path is the package's import path; a test variant is checked under
+	// its package's own path, as go vet checks it.
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -75,8 +75,8 @@ func (p *Pass) ExportFact(name string, v any) error {
 }
 
 // ImportFact decodes the fact this analyzer exported for pkgPath into
-// into, reporting whether it exists. Visibility is transitive: the
-// drivers re-export everything a unit imports (see FactSet).
+// into, reporting whether it exists. Visibility is transitive: the driver
+// shares one FactSet across all units, dependencies first (see FactSet).
 func (p *Pass) ImportFact(pkgPath, name string, into any) bool {
 	return p.facts.lookup(pkgPath, p.Analyzer.Name, name, into)
 }

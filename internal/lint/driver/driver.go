@@ -2,16 +2,15 @@
 //
 // It provides the two entry points cmd/sgmrlint needs:
 //
-//   - Standalone: load packages via `go list -export -deps -json`,
-//     type-check the matched ones from source against their dependencies'
-//     compiler export data, and run the analyzer suite. This is what
-//     `sgmrlint ./...` does and what the tree-clean test pins.
-//   - RunUnit: the `go vet -vettool` unitchecker protocol — parse the
-//     .cfg file cmd/go hands the tool for each package, type-check that
-//     one unit, emit diagnostics to stderr, and write the (empty) .vetx
-//     facts file cmd/go requires as the action's output.
+//   - Standalone: load packages and their test variants via
+//     `go list -test -export -deps -json`, type-check each from source
+//     against its dependencies' compiler export data, and run the analyzer
+//     suite with one in-memory fact set. This is what `sgmrlint ./...`
+//     does, in CI and locally, and what the tree-clean test pins.
+//   - EscapeGate: rebuild with -gcflags=-m and map heap escapes inside
+//     //lint:hotpath functions to hotalloc findings (`sgmrlint -escapes`).
 //
-// Both paths share the same trick: the module has zero third-party
+// The loader relies on one fact: the module has zero third-party
 // dependencies, so every import resolves to stdlib or in-module packages
 // whose gc export data the build system already produced. A lookup-based
 // importer.ForCompiler over those files gives full type information with
@@ -35,13 +34,18 @@ import (
 	"subgraphmr/internal/lint"
 )
 
-// listedPackage is the subset of `go list -json` output the drivers use.
+// listedPackage is the subset of `go list -json` output the driver uses.
+// Under -test, ImportPath is the unit's ID: a test variant reads
+// "p [p.test]", ForTest names the package under test, and ImportMap maps
+// an import as spelled to the variant it resolves to.
 type listedPackage struct {
 	Dir        string
 	ImportPath string
 	Name       string
 	GoFiles    []string
 	Export     string
+	ForTest    string
+	ImportMap  map[string]string
 	Standard   bool
 	DepOnly    bool
 	Incomplete bool
@@ -50,21 +54,22 @@ type listedPackage struct {
 }
 
 // goList shells `go list -export -deps -json` in dir and decodes the
-// package stream. -export makes the build system produce (or reuse from
-// the build cache) gc export data for every listed package — the type
-// information source for the importer.
-func goList(dir string, patterns ...string) ([]*listedPackage, error) {
-	args := append([]string{
+// package stream; args are extra flags (e.g. -test) and package patterns.
+// -export makes the build system produce (or reuse from the build cache)
+// gc export data for every listed package — the type information source
+// for the importer.
+func goList(dir string, args ...string) ([]*listedPackage, error) {
+	args = append([]string{
 		"list", "-export", "-deps",
-		"-json=Dir,ImportPath,Name,GoFiles,Export,Standard,DepOnly,Incomplete,Module,Error",
-	}, patterns...)
+		"-json=Dir,ImportPath,Name,GoFiles,Export,ForTest,ImportMap,Standard,DepOnly,Incomplete,Module,Error",
+	}, args...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, fmt.Errorf("go %v: %v\n%s", args, err, stderr.String())
 	}
 	var pkgs []*listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -117,10 +122,9 @@ func ListExports(dir string, paths ...string) (map[string]string, error) {
 	return out, nil
 }
 
-// NewImporter returns a types.Importer that resolves imports through gc
-// export-data files. resolve maps an import path as spelled to the
-// package path that owns the export file (identity when nil).
-func NewImporter(fset *token.FileSet, exports map[string]string, resolve func(string) (string, bool)) types.Importer {
+// NewImporter returns a types.Importer that resolves imports through the
+// gc export-data files in exports, keyed by package path.
+func NewImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -129,15 +133,7 @@ func NewImporter(fset *token.FileSet, exports map[string]string, resolve func(st
 		return os.Open(file)
 	}
 	compiler := importer.ForCompiler(fset, "gc", lookup)
-	return importerFunc(func(importPath string) (*types.Package, error) {
-		path := importPath
-		if resolve != nil {
-			mapped, ok := resolve(importPath)
-			if !ok {
-				return nil, fmt.Errorf("import %q not in import map", importPath)
-			}
-			path = mapped
-		}
+	return importerFunc(func(path string) (*types.Package, error) {
 		if path == "unsafe" {
 			return types.Unsafe, nil
 		}
@@ -150,7 +146,7 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // TypeCheck parses and checks one package from source.
-func TypeCheck(fset *token.FileSet, importPath, goVersion string, filenames []string, imp types.Importer) (*lint.Unit, error) {
+func TypeCheck(fset *token.FileSet, importPath string, filenames []string, imp types.Importer) (*lint.Unit, error) {
 	files := make([]*ast.File, 0, len(filenames))
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -167,15 +163,10 @@ func TypeCheck(fset *token.FileSet, importPath, goVersion string, filenames []st
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: imp, GoVersion: goVersion}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	return &lint.Unit{Path: importPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// Render formats one diagnostic the way `go vet` prints findings.
-func Render(fset *token.FileSet, d lint.Diagnostic) string {
-	return fmt.Sprintf("%s: %s (%s)", fset.Position(d.Pos), d.Message, d.Analyzer)
 }

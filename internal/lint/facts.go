@@ -13,15 +13,11 @@ import (
 // errwrap's wrap-clean function list), and analyzers running on dependent
 // packages import it by (package path, fact name).
 //
-// Both drivers move FactSets through the `go vet -vettool` .vetx channel:
-// the unit driver decodes the .vetx files cmd/go hands it for each
-// dependency, merges them into the unit's working set, and serializes the
-// merged set — its own facts plus everything it imported — as the unit's
-// VetxOutput. Re-exporting imported facts makes visibility transitive by
-// construction, so an analyzer sees facts from indirect dependencies even
-// when the build system only passes direct ones. The standalone driver
-// shares one FactSet across the whole dependency-ordered package list,
-// which gives the same visibility without serialization.
+// The driver shares one in-memory FactSet across its whole
+// dependency-ordered package list, so an analyzer sees the facts of every
+// package analyzed before it — direct and indirect dependencies alike.
+// Payloads are stored as JSON so a fact is a value copy: a later pass
+// cannot mutate what an earlier one exported.
 type FactSet struct {
 	// pkgs maps package path -> analyzer name -> fact name -> payload.
 	pkgs map[string]map[string]map[string]json.RawMessage
@@ -32,9 +28,9 @@ func NewFactSet() *FactSet {
 	return &FactSet{pkgs: make(map[string]map[string]map[string]json.RawMessage)}
 }
 
-// normalizePkgPath strips the build-variant suffix cmd/go appends to test
-// packages ("pkg [pkg.test]"), so facts from a test variant land under the
-// same key importers resolve.
+// normalizePkgPath strips the build-variant suffix go list gives test
+// packages ("pkg [pkg.test]"): an external test imports its package's test
+// variant under that ID, and must still find the facts pkg exported.
 func normalizePkgPath(path string) string {
 	if i := strings.IndexByte(path, ' '); i >= 0 {
 		return path[:i]
@@ -86,50 +82,4 @@ func (fs *FactSet) packages(analyzer, name string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Merge folds other's facts into fs (other wins on key collisions).
-func (fs *FactSet) Merge(other *FactSet) {
-	if other == nil {
-		return
-	}
-	for pkg, byAnalyzer := range other.pkgs {
-		for analyzer, byName := range byAnalyzer {
-			for name, data := range byName {
-				dst := fs.pkgs[pkg]
-				if dst == nil {
-					dst = make(map[string]map[string]json.RawMessage)
-					fs.pkgs[pkg] = dst
-				}
-				dstNames := dst[analyzer]
-				if dstNames == nil {
-					dstNames = make(map[string]json.RawMessage)
-					dst[analyzer] = dstNames
-				}
-				dstNames[name] = data
-			}
-		}
-	}
-}
-
-// Encode serializes the fact set as JSON — the .vetx wire format.
-func (fs *FactSet) Encode() ([]byte, error) {
-	return json.Marshal(fs.pkgs)
-}
-
-// DecodeFactSet parses a .vetx payload. Empty input decodes to an empty
-// set: PR 8's driver wrote zero-length .vetx files, and go vet's cache may
-// still hold them, so they must stay readable.
-func DecodeFactSet(data []byte) (*FactSet, error) {
-	fs := NewFactSet()
-	if len(data) == 0 {
-		return fs, nil
-	}
-	if err := json.Unmarshal(data, &fs.pkgs); err != nil {
-		return nil, fmt.Errorf("decoding facts: %w", err)
-	}
-	if fs.pkgs == nil {
-		fs.pkgs = make(map[string]map[string]map[string]json.RawMessage)
-	}
-	return fs, nil
 }

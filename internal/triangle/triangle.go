@@ -286,24 +286,27 @@ func bucketOrderedMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, t
 	}
 }
 
-// ProbeLoads measures, map-only, the reducer loads one of the Section 2
-// algorithms ("partition", "multiway" or "bucket") would ship at bucket
-// count b — the exact mapper the job executes, so the planner's adaptive
-// probes observe precisely the loads a run would produce.
-func ProbeLoads(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
-	h := graph.NodeHash{Seed: seed, B: b}
-	switch algo {
-	case "partition":
-		if b < 3 {
-			return mapreduce.LoadStats{}, fmt.Errorf("triangle: Partition needs b >= 3, got %d", b)
-		}
-		return mapreduce.ReducerLoadStats(cfg, g.Edges(), partitionMapper(h, b)), nil
-	case "multiway":
-		return mapreduce.ReducerLoadStats(cfg, g.Edges(), multiwayMapper(h, b)), nil
-	case "bucket":
-		return mapreduce.ReducerLoadStats(cfg, g.Edges(), bucketOrderedMapper(h, b)), nil
-	}
-	return mapreduce.LoadStats{}, fmt.Errorf("triangle: unknown algorithm %q", algo)
+// PartitionLoads, MultiwayLoads and BucketOrderedLoads measure, map-only,
+// the reducer loads their Section 2 algorithm ships at bucket count b —
+// the exact mapper the job executes, so the planner's adaptive probes
+// observe precisely the loads a run would produce. Partition needs b >= 3;
+// the planner prices it only at such b, so it checks before probing.
+func PartitionLoads(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) mapreduce.LoadStats {
+	return loads(g, b, seed, cfg, partitionMapper)
+}
+
+// MultiwayLoads: see PartitionLoads.
+func MultiwayLoads(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) mapreduce.LoadStats {
+	return loads(g, b, seed, cfg, multiwayMapper)
+}
+
+// BucketOrderedLoads: see PartitionLoads.
+func BucketOrderedLoads(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) mapreduce.LoadStats {
+	return loads(g, b, seed, cfg, bucketOrderedMapper)
+}
+
+func loads[V any](g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, mapper func(graph.NodeHash, int) mapreduce.Mapper[graph.Edge, triple, V]) mapreduce.LoadStats {
+	return mapreduce.ReducerLoadStats(cfg, g.Edges(), mapper(graph.NodeHash{Seed: seed, B: b}, b))
 }
 
 // trianglesIn enumerates each triangle of a natural-order fragment once

@@ -73,12 +73,13 @@ type strategyDef struct {
 // triangleAlgo holds a Section 2 triangle algorithm's closed forms and its
 // single streaming entry point.
 type triangleAlgo struct {
-	// probeName selects the mapper triangle.ProbeLoads measures.
-	probeName string
 	// minB is the smallest bucket count the algorithm accepts.
 	minB     int
 	comm     func(b int) float64
 	reducers func(b int) int64
+	// loads measures, map-only, the reducer loads of the job's own mapper
+	// at b (WithAdaptive).
+	loads func(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) mapreduce.LoadStats
 	// ladder marks the linear-communication Section 2.3 algorithm, the only
 	// one WithAdaptive probes at raised b: raising b for Partition or
 	// Multiway grows shipping superlinearly for the same straggler relief.
@@ -103,21 +104,21 @@ var strategyTable = []strategyDef{
 		price: bucketCandidate, probe: probeCoreBuckets, run: runDecomposed},
 	{st: StrategyTriangleBucketOrdered, name: "triangle-bucket-ordered", cli: "tri-bucket",
 		price: triangleCandidate, probe: probeTriangle, run: runTriangle, tri: &triangleAlgo{
-			probeName: "bucket", minB: 1, ladder: true,
+			minB: 1, ladder: true,
 			comm: triangle.BucketOrderedCommPerEdge, reducers: triangle.BucketOrderedReducers,
-			run: triangle.BucketOrderedContext,
+			loads: triangle.BucketOrderedLoads, run: triangle.BucketOrderedContext,
 		}},
 	{st: StrategyTrianglePartition, name: "triangle-partition", cli: "tri-partition",
 		price: triangleCandidate, probe: probeTriangle, run: runTriangle, tri: &triangleAlgo{
-			probeName: "partition", minB: 3,
+			minB: 3,
 			comm: triangle.PartitionCommPerEdge, reducers: triangle.PartitionReducers,
-			run: triangle.PartitionContext,
+			loads: triangle.PartitionLoads, run: triangle.PartitionContext,
 		}},
 	{st: StrategyTriangleMultiway, name: "triangle-multiway", cli: "tri-multiway",
 		price: triangleCandidate, probe: probeTriangle, run: runTriangle, tri: &triangleAlgo{
-			probeName: "multiway", minB: 1,
+			minB: 1,
 			comm: triangle.MultiwayCommPerEdge, reducers: triangle.MultiwayReducers,
-			run: triangle.MultiwayContext,
+			loads: triangle.MultiwayLoads, run: triangle.MultiwayContext,
 		}},
 	{st: StrategyTwoRound, name: "two-round-cascade", cli: "cascade",
 		price: twoRoundCandidate, probe: probeTwoRound, run: runTwoRound},

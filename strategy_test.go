@@ -1,6 +1,9 @@
 package subgraphmr
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestStrategyTableComplete pins the strategy table: every entry
 // round-trips through String and ParseStrategy, no name is registered
@@ -82,5 +85,72 @@ func TestCountOnlyMetricsLocalEqualsDistributed(t *testing.T) {
 				t.Errorf("summed Outputs %d, Count %d", outputs, local.Count)
 			}
 		})
+	}
+}
+
+// TestAdaptiveProbeMatchesExecution pins WithAdaptive's probes to what
+// actually runs: for every strategy in the table, forced on a uniform Gnm
+// graph, the applied probe row's Comm, Keys and MaxLoad equal the executed
+// jobs' summed KeyValuePairs, summed DistinctKeys and largest
+// MaxReducerInput. The cascade's probe is analytic: its Comm is the exact
+// two-round total and its loads are round 1's, so Keys and MaxLoad are
+// checked against round 1 only.
+func TestAdaptiveProbeMatchesExecution(t *testing.T) {
+	g := Gnm(300, 1500, 9)
+	for _, d := range strategyTable {
+		if d.price == nil {
+			continue // auto chooses among the others
+		}
+		samples := map[string]*Sample{"triangle": Triangle()}
+		if d.tri == nil && d.st != StrategyTwoRound {
+			// Several CQs: cq-oriented runs one job per CQ.
+			samples["square"] = Square()
+		}
+		for _, name := range []string{"triangle", "square"} {
+			s := samples[name]
+			if s == nil {
+				continue
+			}
+			t.Run(d.name+"/"+name, func(t *testing.T) {
+				plan, err := Plan(g, s, WithStrategy(d.st), WithTargetReducers(64), WithSeed(3), WithAdaptive(), WithCountOnly())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var applied []LoadProbe
+				for _, pr := range plan.Probes {
+					if pr.Applied && pr.Strategy == d.st {
+						applied = append(applied, pr)
+					}
+				}
+				if len(applied) != 1 {
+					t.Fatalf("want one applied %v probe row, got %+v", d.st, plan.Probes)
+				}
+				row := applied[0]
+				res, err := Run(context.Background(), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var comm, keys, maxLoad int64
+				for _, j := range res.Jobs {
+					if j.Replanned {
+						t.Fatalf("uniform graph re-planned mid-query: %+v", j)
+					}
+					comm += j.Metrics.KeyValuePairs
+					keys += j.Metrics.DistinctKeys
+					maxLoad = max(maxLoad, j.Metrics.MaxReducerInput)
+				}
+				if d.st == StrategyTwoRound {
+					if len(res.Jobs) != 2 {
+						t.Fatalf("cascade ran %d jobs, want 2", len(res.Jobs))
+					}
+					r1 := res.Jobs[0].Metrics
+					keys, maxLoad = r1.DistinctKeys, r1.MaxReducerInput
+				}
+				if row.Comm != comm || row.Keys != keys || row.MaxLoad != maxLoad {
+					t.Errorf("probe b=%d shares=%v: comm/keys/maxload %d/%d/%d, executed %d/%d/%d",
+						row.Buckets, row.Shares, row.Comm, row.Keys, row.MaxLoad, comm, keys, maxLoad)
+				}
+			})
+		}
 	}
 }
